@@ -12,13 +12,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
 from .data import Dataset, load_dataset, make_synthetic, save_dataset
 from .decode import DecodeConfig, generate
+from .fileio import atomic_write
 from .graph import Schema
 from .introspect import export_attention, export_struct_similarity
 from .linearize import Ordering, render_sequence
@@ -186,7 +186,7 @@ def cmd_generate(args) -> int:
     cfg = _decode_config(args)
     preds = []
     for doc, _ in ds:
-        res = generate(model, doc, cfg, fast=not args.slow)
+        res = generate(model, doc, cfg)
         if args.render:
             print(f"{doc.id}: {render_sequence(res.sequence, model.schema)}")
         preds.append((doc, res.graph))
@@ -204,8 +204,7 @@ def cmd_evaluate(args) -> int:
         ds = load_dataset(args.data)
         _check_same_schema(model.schema, ds.schema, args.data)
         cfg = _decode_config(args)
-        pairs = [(generate(model, doc, cfg, fast=not args.slow).graph, gold)
-                 for doc, gold in ds]
+        pairs = [(generate(model, doc, cfg).graph, gold) for doc, gold in ds]
     elif args.pred and args.gold:
         pred_ds = load_dataset(args.pred)
         gold_ds = load_dataset(args.gold)
@@ -233,17 +232,9 @@ def cmd_evaluate(args) -> int:
     for line in lines:
         print(line)
     if args.report:
-        directory = os.path.dirname(os.path.abspath(args.report)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".jsonl.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-            os.replace(tmp, args.report)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        os.makedirs(os.path.dirname(os.path.abspath(args.report)), exist_ok=True)
+        with atomic_write(args.report) as fh:
+            fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -278,8 +269,6 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--top-p", type=float, default=0.9)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slow", action="store_true",
-                   help="recompute the full prefix each step instead of caching")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

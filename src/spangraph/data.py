@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
 from .graph import Document, EntitySpan, GraphError, IEGraph, Relation, Schema, validate_graph
 
 DATASET_FORMAT = "spangraph-dataset-v1"
@@ -171,17 +171,9 @@ def save_dataset(path: str, dataset: Dataset) -> None:
         for doc, graph in dataset.examples
     )
     payload = "\n".join(body) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".jsonl.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with atomic_write(path) as fh:
+        fh.write(payload)
 
 
 # ----------------------------------------------------------------------

@@ -88,7 +88,7 @@ def generate(model: Model, doc: Document, config: DecodeConfig = DecodeConfig(),
 
     ``fast`` extends a key/value cache one symbol at a time; with
     ``fast=False`` the whole prefix is recomputed from scratch every step.
-    The two paths run the same row kernels and give bit-identical logits.
+    The two paths run the same one-row layer code and give bit-identical logits.
     """
     layout = build_layout(len(doc), model.schema, model.config.max_span_width)
     token_ids = model.word_vocab.encode(doc.tokens)

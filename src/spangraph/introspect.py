@@ -9,11 +9,10 @@ answers whether the four decoding phases learned distinct embeddings.
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
 
 import numpy as np
 
+from .fileio import atomic_write
 from .grammar import Phase
 from .linearize import render_symbol
 from .model import AttnTrace, Model
@@ -25,19 +24,6 @@ class TraceMissing(ValueError):
 
 class ZeroVector(ValueError):
     """A structural embedding has zero norm, cosine similarity is undefined."""
-
-
-def _write_csv_atomic(path: str, rows) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def attention_matrix(trace: AttnTrace | None, layer: int, head: int | str,
@@ -81,7 +67,8 @@ def export_attention(trace: AttnTrace | None, symbols, tokens, path: str,
     rows = [["query\\key", *key_labels]]
     for label, row in zip(query_labels, matrix):
         rows.append([label, *[f"{w:.6f}" for w in row]])
-    _write_csv_atomic(path, rows)
+    with atomic_write(path) as fh:
+        csv.writer(fh).writerows(rows)
     return matrix
 
 
@@ -107,5 +94,6 @@ def export_struct_similarity(model: Model, path: str) -> np.ndarray:
     rows.append(["values", *[f"d{j}" for j in range(raw.shape[1])]])
     for name, row in zip(names, raw):
         rows.append([name, *[f"{v:.6f}" for v in row]])
-    _write_csv_atomic(path, rows)
+    with atomic_write(path) as fh:
+        csv.writer(fh).writerows(rows)
     return sim

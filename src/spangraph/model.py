@@ -7,18 +7,15 @@ form the dynamic output vocabulary E, and the decoder scores the next symbol
 as a dot product between its hidden state and every row of E (the output
 embedding is the pointing table, there is no separate softmax weight).
 
-Two forward implementations exist on purpose:
-
-* the ``Tensor`` graph (``encode`` / ``span_embeddings`` / ``decode_hidden``)
-  used for training and gradient checks, vectorized over the whole prefix;
-* ``DecodeRuntime``, a plain-numpy row-at-a-time decoder used for generation,
-  with an optional key/value cache.  Its cached and cache-free modes execute
-  the identical row routine, so their outputs are bit-equal by construction.
+The ``Tensor`` layer code (``encode`` / ``span_embeddings`` /
+``decode_hidden``) is the only definition of the network.  Training runs it
+over the whole teacher-forced prefix; generation runs the same methods under
+``no_grad`` one row at a time, with a ``DecodeCache`` of key/value rows, via
+``DecodeRuntime``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -119,6 +116,20 @@ class AttnTrace:
     cross_attn: list[np.ndarray] = field(default_factory=list)
 
 
+@dataclass
+class DecodeCache:
+    """Per-layer keys/values that let ``decode_hidden`` extend a prefix in place.
+
+    ``cross`` is computed once per sentence; ``keys``/``values`` hold
+    ``max_positions`` self-attention rows, the first ``length`` filled.
+    """
+
+    cross: list[tuple[Tensor, Tensor]]
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
+    length: int = 0
+
+
 def param_group(name: str) -> str:
     if name.startswith("enc."):
         return "encoder"
@@ -131,49 +142,40 @@ def decay_excluded(name: str) -> bool:
     return name in _EMBED_TABLES or name.endswith(_BIAS_SUFFIXES)
 
 
-def _init_params(config: ModelConfig, schema: Schema, n_words: int, rng) -> dict[str, Tensor]:
-    dt = config.np_dtype
+def param_shapes(config: ModelConfig, schema: Schema, n_words: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in initialization order."""
     d = config.d_model
-    params: dict[str, Tensor] = {}
-
-    def normal(name, *shape):
-        params[name] = Tensor(rng.normal(0.0, 0.02, size=shape).astype(dt), requires_grad=True)
-
-    def ones(name, *shape):
-        params[name] = Tensor(np.ones(shape, dtype=dt), requires_grad=True)
-
-    def zeros(name, *shape):
-        params[name] = Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def attn_block(prefix):
         for part in ("wq", "wk", "wv", "wo"):
-            normal(f"{prefix}.{part}", d, d)
+            shapes[f"{prefix}.{part}"] = (d, d)
         for part in ("bq", "bk", "bv", "bo"):
-            zeros(f"{prefix}.{part}", d)
+            shapes[f"{prefix}.{part}"] = (d,)
 
     def ffn_block(prefix):
-        normal(f"{prefix}.w1", d, 4 * d)
-        zeros(f"{prefix}.b1", 4 * d)
-        normal(f"{prefix}.w2", 4 * d, d)
-        zeros(f"{prefix}.b2", d)
+        shapes[f"{prefix}.w1"] = (d, 4 * d)
+        shapes[f"{prefix}.b1"] = (4 * d,)
+        shapes[f"{prefix}.w2"] = (4 * d, d)
+        shapes[f"{prefix}.b2"] = (d,)
 
     def ln_block(prefix):
-        ones(f"{prefix}.g", d)
-        zeros(f"{prefix}.b", d)
+        shapes[f"{prefix}.g"] = (d,)
+        shapes[f"{prefix}.b"] = (d,)
 
-    normal("enc.word_emb", n_words, d)
-    normal("enc.pos", config.max_positions, d)
+    shapes["enc.word_emb"] = (n_words, d)
+    shapes["enc.pos"] = (config.max_positions, d)
     for i in range(config.enc_layers):
         ln_block(f"enc.{i}.ln1")
         attn_block(f"enc.{i}.attn")
         ln_block(f"enc.{i}.ln2")
         ffn_block(f"enc.{i}.ffn")
 
-    normal("dec.pos", config.max_positions, d)
-    normal("dec.struct", N_STRUCT_LABELS, d)
+    shapes["dec.pos"] = (config.max_positions, d)
+    shapes["dec.struct"] = (N_STRUCT_LABELS, d)
     # row order matches the id layout: START, END, SEP
-    normal("dec.special", N_SPECIALS, d)
-    normal("dec.rel", schema.n_relation_types, d)
+    shapes["dec.special"] = (N_SPECIALS, d)
+    shapes["dec.rel"] = (schema.n_relation_types, d)
     for i in range(config.dec_layers):
         ln_block(f"dec.{i}.ln1")
         attn_block(f"dec.{i}.self")
@@ -183,7 +185,22 @@ def _init_params(config: ModelConfig, schema: Schema, n_words: int, rng) -> dict
         ffn_block(f"dec.{i}.ffn")
 
     for c in range(schema.n_entity_types):
-        normal(f"span.w{c}", 2 * d, d)
+        shapes[f"span.w{c}"] = (2 * d, d)
+    return shapes
+
+
+def _init_params(config: ModelConfig, schema: Schema, n_words: int, rng) -> dict[str, Tensor]:
+    """Norm gains start at one, biases at zero, everything else at N(0, 0.02)."""
+    dt = config.np_dtype
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config, schema, n_words).items():
+        if name.endswith(".g"):
+            data = np.ones(shape, dtype=dt)
+        elif name.endswith(_BIAS_SUFFIXES):
+            data = np.zeros(shape, dtype=dt)
+        else:
+            data = rng.normal(0.0, 0.02, size=shape).astype(dt)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -226,31 +243,16 @@ class Model:
     # ------------------------------------------------------------------
     # differentiable forward
 
-    def _mha(self, prefix: str, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None,
-             train: bool, rng, sink: list | None) -> Tensor:
+    def _kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
         p = self.params
-        heads = self.config.heads
-        dk = self.config.d_model // heads
+        return (T.add(T.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]),
+                T.add(T.matmul(x, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]))
+
+    def _mha(self, prefix: str, x_q: Tensor, kv: tuple[Tensor, Tensor],
+             mask: np.ndarray | None, train: bool, rng, sink: list | None) -> Tensor:
+        p = self.params
         q = T.add(T.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-        k = T.add(T.matmul(x_kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
-        v = T.add(T.matmul(x_kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-        scale = 1.0 / math.sqrt(dk)
-        ctx = None
-        captured = []
-        for h in range(heads):
-            lo, hi = h * dk, (h + 1) * dk
-            qh = T.slice_last_dim(q, lo, hi)
-            kh = T.slice_last_dim(k, lo, hi)
-            vh = T.slice_last_dim(v, lo, hi)
-            scores = T.mul(T.matmul(qh, T.transpose(kh)), scale)
-            w = T.softmax_last_dim(scores, mask)
-            if sink is not None:
-                captured.append(w.data)
-            w = T.dropout(w, self.config.dropout, rng, train)
-            c = T.matmul(w, vh)
-            ctx = c if ctx is None else T.concat_last_dim(ctx, c)
-        if sink is not None:
-            sink.append(np.stack(captured))
+        ctx = T.attention(q, *kv, self.config.heads, mask, self.config.dropout, rng, train, sink)
         out = T.add(T.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
         return T.dropout(out, self.config.dropout, rng, train)
 
@@ -273,7 +275,8 @@ class Model:
         x = T.dropout(x, self.config.dropout, rng, train)
         for i in range(self.config.enc_layers):
             h = T.layer_norm(x, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
-            x = T.add(x, self._mha(f"enc.{i}.attn", h, h, None, train, rng, None))
+            x = T.add(x, self._mha(f"enc.{i}.attn", h, self._kv(f"enc.{i}.attn", h), None,
+                                   train, rng, None))
             h = T.layer_norm(x, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
             x = T.add(x, self._ffn(f"enc.{i}.ffn", h, train, rng))
         return x
@@ -305,31 +308,51 @@ class Model:
         return T.concat_rows([S, self.params["dec.special"], self.params["dec.rel"]])
 
     def decoder_inputs(self, E: Tensor, ids: np.ndarray, labels: np.ndarray,
-                       train: bool = False, rng=None) -> Tensor:
-        m = len(ids)
-        if m > self.config.max_positions:
-            raise PrefixTooLong(f"prefix length {m} exceeds max_positions")
+                       train: bool = False, rng=None, start: int = 0) -> Tensor:
+        """Input rows for the symbols at positions start, start+1, ... of a prefix."""
+        end = start + len(ids)
+        if end > self.config.max_positions:
+            raise PrefixTooLong(f"prefix length {end} exceeds max_positions")
         x = T.embedding_lookup(E, ids)
         if self.config.use_positions:
-            x = T.add(x, T.embedding_lookup(self.params["dec.pos"], np.arange(m)))
+            x = T.add(x, T.embedding_lookup(self.params["dec.pos"], np.arange(start, end)))
         if self.config.use_structure:
             x = T.add(x, T.embedding_lookup(self.params["dec.struct"], labels))
         return T.dropout(x, self.config.dropout, rng, train)
 
-    def decode_hidden(self, x: Tensor, H: Tensor, train: bool = False, rng=None,
-                      trace: AttnTrace | None = None) -> Tensor:
-        m = x.shape[0]
-        causal = np.tril(np.ones((m, m), dtype=bool))
+    def cross_kv(self, H: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention keys and values over encoder states H."""
+        return [self._kv(f"dec.{i}.cross", H) for i in range(self.config.dec_layers)]
+
+    def decode_hidden(self, x: Tensor, H: Tensor | None, train: bool = False, rng=None,
+                      trace: AttnTrace | None = None,
+                      cache: DecodeCache | None = None) -> Tensor:
+        """Decoder states for input rows ``x``, attending causally and to ``H``.
+
+        With a cache, ``x`` continues the cached prefix: each layer writes its
+        keys/values there and attends over every filled row, cross-attention
+        reads the cache instead of ``H``, and ``length`` advances past ``x``.
+        """
+        start = 0 if cache is None else cache.length
+        end = start + x.shape[0]
+        causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]
+        cross = self.cross_kv(H) if cache is None else cache.cross
+        sinks = (None, None) if trace is None else (trace.self_attn, trace.cross_attn)
         p = self.params
         for i in range(self.config.dec_layers):
             h = T.layer_norm(x, p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
-            x = T.add(x, self._mha(f"dec.{i}.self", h, h, causal, train, rng,
-                                   trace.self_attn if trace is not None else None))
+            kv = self._kv(f"dec.{i}.self", h)
+            if cache is not None:
+                cache.keys[i][start:end] = kv[0].data
+                cache.values[i][start:end] = kv[1].data
+                kv = (Tensor(cache.keys[i][:end]), Tensor(cache.values[i][:end]))
+            x = T.add(x, self._mha(f"dec.{i}.self", h, kv, causal, train, rng, sinks[0]))
             h = T.layer_norm(x, p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
-            x = T.add(x, self._mha(f"dec.{i}.cross", h, H, None, train, rng,
-                                   trace.cross_attn if trace is not None else None))
+            x = T.add(x, self._mha(f"dec.{i}.cross", h, cross[i], None, train, rng, sinks[1]))
             h = T.layer_norm(x, p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"])
             x = T.add(x, self._ffn(f"dec.{i}.ffn", h, train, rng))
+        if cache is not None:
+            cache.length = end
         return x
 
     def next_token_logits(self, Z: Tensor, E: Tensor) -> Tensor:
@@ -381,100 +404,57 @@ class Model:
         config = ModelConfig(**meta["config"])
         schema = _schema_from_meta(meta["schema"])
         vocab = WordVocab(meta["words"])
-        names = meta["param_names"]
-        missing = [n for n in names if n not in arrays]
-        if missing:
-            raise ValueError(f"checkpoint missing arrays: {missing[:5]}")
-        params = {n: Tensor(arrays[n], requires_grad=True) for n in names}
-        rest = {k: v for k, v in arrays.items() if k not in set(names)}
+        expected = param_shapes(config, schema, len(vocab))
+        missing = [n for n in expected if n not in arrays]
+        unexpected = sorted(set(meta["param_names"]) - set(expected))
+        if missing or unexpected:
+            raise ValueError(f"{path}: parameters do not match its config: "
+                             f"missing {missing[:5]}, unexpected {unexpected[:5]}")
+        wrong = [f"{n} {arrays[n].shape} != {s}" for n, s in expected.items()
+                 if arrays[n].shape != s]
+        if wrong:
+            raise ValueError(f"{path}: parameter shapes do not match its config: {wrong[:5]}")
+        params = {n: Tensor(arrays.pop(n), requires_grad=True) for n in sorted(expected)}
         model = cls(config, schema, vocab, params=params)
-        return model, rest, (meta.get("extra") or {})
+        return model, arrays, (meta.get("extra") or {})
 
 
 class DecodeRuntime:
-    """Row-at-a-time decoder over plain numpy for generation.
+    """One sentence's generation state over ``Model``'s own layer code.
 
-    ``prefix_logits`` rebuilds every row of the prefix from scratch;
-    ``step_logits`` extends a live key/value cache by one row.  Both run the
-    same row routine under shape-stable matmul kernels, so a cached decode
-    reproduces the cache-free one bit for bit.
+    ``step_logits`` feeds one symbol through ``decode_hidden`` with a cache;
+    ``prefix_logits`` feeds a whole prefix row by row into a fresh cache.
+    Both run that one-row computation under shape-stable kernels, so a
+    cached decode reproduces the recompute bit for bit.
     """
 
     def __init__(self, model: Model, token_ids: np.ndarray):
-        self.config = model.config
+        self.model = model
         with T.no_grad(), T.rowwise_kernels():
             H = model.encode(token_ids)
-            E = model.build_E(model.span_embeddings(H))
-        self.H = H.data
-        self.E = E.data
-        self.ET = np.ascontiguousarray(self.E.T)
-        self.p = {name: t.data for name, t in model.params.items()}
-        self.dk = self.config.d_model // self.config.heads
-        self.scale = np.asarray(1.0 / math.sqrt(self.dk), dtype=self.H.dtype)
-        with T.rowwise_kernels():
-            self.cross_kv = []
-            for i in range(self.config.dec_layers):
-                k = T.matmul_np(self.H, self.p[f"dec.{i}.cross.wk"]) + self.p[f"dec.{i}.cross.bk"]
-                v = T.matmul_np(self.H, self.p[f"dec.{i}.cross.wv"]) + self.p[f"dec.{i}.cross.bv"]
-                self.cross_kv.append((k, v))
+            self.E = model.build_E(model.span_embeddings(H))
+            self.cross = model.cross_kv(H)
 
-    def fresh_caches(self) -> list[dict[str, list[np.ndarray]]]:
-        return [{"k": [], "v": []} for _ in range(self.config.dec_layers)]
+    def fresh_caches(self) -> DecodeCache:
+        config = self.model.config
+        shape = (config.max_positions, config.d_model)
+        layers = range(config.dec_layers)
+        return DecodeCache(self.cross, [np.empty(shape, self.E.dtype) for _ in layers],
+                           [np.empty(shape, self.E.dtype) for _ in layers])
 
-    def input_row(self, sym_id: int, position: int, label: int) -> np.ndarray:
-        x = self.E[sym_id].copy()
-        if self.config.use_positions:
-            x = x + self.p["dec.pos"][position]
-        if self.config.use_structure:
-            x = x + self.p["dec.struct"][label]
-        return x[None, :]
-
-    def _heads_attend(self, q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
-        parts = []
-        for h in range(self.config.heads):
-            lo, hi = h * self.dk, (h + 1) * self.dk
-            scores = T.matmul_np(q[:, lo:hi], np.ascontiguousarray(K[:, lo:hi].T)) * self.scale
-            w = T.masked_softmax_np(scores, None)
-            parts.append(T.matmul_np(w, np.ascontiguousarray(V[:, lo:hi])))
-        return np.concatenate(parts, axis=-1)
-
-    def _advance_row(self, x: np.ndarray, caches) -> np.ndarray:
-        p = self.p
-        eps = 1e-5
-        for i in range(self.config.dec_layers):
-            h = T.layer_norm_np(x, p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"], eps)[0]
-            q = T.matmul_np(h, p[f"dec.{i}.self.wq"]) + p[f"dec.{i}.self.bq"]
-            caches[i]["k"].append(T.matmul_np(h, p[f"dec.{i}.self.wk"]) + p[f"dec.{i}.self.bk"])
-            caches[i]["v"].append(T.matmul_np(h, p[f"dec.{i}.self.wv"]) + p[f"dec.{i}.self.bv"])
-            K = np.concatenate(caches[i]["k"], axis=0)
-            V = np.concatenate(caches[i]["v"], axis=0)
-            ctx = self._heads_attend(q, K, V)
-            x = x + T.matmul_np(ctx, p[f"dec.{i}.self.wo"]) + p[f"dec.{i}.self.bo"]
-
-            h = T.layer_norm_np(x, p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"], eps)[0]
-            q = T.matmul_np(h, p[f"dec.{i}.cross.wq"]) + p[f"dec.{i}.cross.bq"]
-            ctx = self._heads_attend(q, *self.cross_kv[i])
-            x = x + T.matmul_np(ctx, p[f"dec.{i}.cross.wo"]) + p[f"dec.{i}.cross.bo"]
-
-            h = T.layer_norm_np(x, p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"], eps)[0]
-            inner = T.gelu_np(T.matmul_np(h, p[f"dec.{i}.ffn.w1"]) + p[f"dec.{i}.ffn.b1"])
-            x = x + T.matmul_np(inner, p[f"dec.{i}.ffn.w2"]) + p[f"dec.{i}.ffn.b2"]
-        return x
-
-    def step_logits(self, sym_id: int, position: int, label: int, caches) -> np.ndarray:
+    def step_logits(self, sym_id: int, position: int, label: int,
+                    caches: DecodeCache) -> np.ndarray:
         """Extend the cache by one input symbol; logits for the next symbol (V,)."""
-        with T.rowwise_kernels():
-            x = self.input_row(sym_id, position, label)
-            z = self._advance_row(x, caches)
-            return T.matmul_np(z, self.ET)[0]
+        with T.no_grad(), T.rowwise_kernels():
+            x = self.model.decoder_inputs(self.E, [sym_id], [label], start=position)
+            z = self.model.decode_hidden(x, None, cache=caches)
+            return self.model.next_token_logits(z, self.E).data[0]
 
     def prefix_logits(self, ids, labels) -> np.ndarray:
         """Cache-free recompute of the whole prefix; logits after its last symbol."""
-        with T.rowwise_kernels():
-            caches = self.fresh_caches()
-            z = None
-            for pos, (sym_id, label) in enumerate(zip(ids, labels)):
-                z = self._advance_row(self.input_row(sym_id, pos, label), caches)
-            if z is None:
-                raise ValueError("empty prefix")
-            return T.matmul_np(z, self.ET)[0]
+        if len(ids) == 0:
+            raise ValueError("empty prefix")
+        caches = self.fresh_caches()
+        for pos, (sym_id, label) in enumerate(zip(ids, labels)):
+            logits = self.step_logits(sym_id, pos, label, caches)
+        return logits

@@ -5,10 +5,13 @@ backward rule; ``backward`` walks the graph in reverse topological order and
 accumulates gradients.  Layout is row-major with no views or strides beyond a
 2-D transpose.  All randomness (dropout) flows through explicit generators.
 
-``rowwise_kernels`` switches matrix multiplication to non-optimized einsum,
-whose accumulation order per output element does not depend on the number of
-rows.  Incremental decoding relies on this: a row computed alone is bit-equal
-to the same row inside a larger product, which BLAS does not guarantee.
+Ops take 2-D tensors; ``attention`` splits its operands into heads inside.
+
+``rowwise_kernels`` switches matrix multiplication (per head in ``attention``)
+to non-optimized einsum, whose accumulation order per output element does
+not depend on the number of rows.  Incremental decoding relies on this: a row
+computed alone is bit-equal to the same row inside a larger product, which
+BLAS does not guarantee.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
 from scipy.special import erf
+
+from .fileio import atomic_write
 
 
 class ShapeMismatch(ValueError):
@@ -74,8 +77,9 @@ def debug_check_finite():
 
 
 def matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product, batched over any leading axes."""
     if _rowwise:
-        return np.einsum("ij,jk->ik", a, b, optimize=False)
+        return np.einsum("...ij,...jk->...ik", a, b, optimize=False)
     return a @ b
 
 
@@ -95,14 +99,6 @@ def masked_softmax_np(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def layer_norm_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x - mu) * inv
-    return gain * xhat + bias, xhat, inv
 
 
 def gelu_np(x: np.ndarray) -> np.ndarray:
@@ -270,19 +266,6 @@ def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def slice_last_dim(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[-1]):
-        raise ShapeMismatch(f"slice [{start}:{stop}] outside last dim of {x.shape}")
-    out_data = np.ascontiguousarray(x.data[..., start:stop])
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        _accum(x, full)
-
-    return _make(out_data, (x,), backward)
-
-
 def concat_rows(parts: list[Tensor]) -> Tensor:
     if not parts or any(p.data.ndim != 2 for p in parts):
         raise ShapeMismatch("concat_rows expects a non-empty list of 2-D tensors")
@@ -330,7 +313,9 @@ def softmax_last_dim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    out_data, xhat, inv = layer_norm_np(x.data, gain.data, bias.data, eps)
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype))
+    xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+    out_data = gain.data * xhat + bias.data
     d = x.shape[-1]
 
     def backward(g):
@@ -358,19 +343,61 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+def _dropout_scale(shape, p: float, rng: np.random.Generator | None, dtype) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability p, else 1 / (1 - p)."""
+    if rng is None:
+        raise ValueError("dropout in train mode needs an rng")
+    return (rng.random(shape) >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     if not train or p <= 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
-    scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
-    out_data = x.data * keep * scale
+    drop = _dropout_scale(x.shape, p, rng, x.dtype)
+    out_data = x.data * drop
 
     def backward(g):
-        _accum(x, g * keep * scale)
+        _accum(x, g * drop)
 
     return _make(out_data, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
+              dropout_p: float = 0.0, rng: np.random.Generator | None = None,
+              train: bool = False, sink: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention of (M, D) queries over (N, D) keys/values.
+
+    Head h uses column block h (width D / heads) of q, k and v and writes the
+    same block of the output.  ``mask`` is (M, N), True where a query may
+    attend.  Train-mode dropout on the weights draws one
+    ``rng.random((heads, M, N))``; ``sink`` receives the weights before it.
+    """
+    (m, d), n = q.shape, k.shape[0]
+    if k.shape != (n, d) or v.shape != (n, d) or heads < 1 or d % heads:
+        raise ShapeMismatch(f"attention shapes {q.shape}, {k.shape}, {v.shape} with {heads} heads")
+    dk = d // heads
+    qh = np.ascontiguousarray(q.data.reshape(m, heads, dk).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.data.reshape(n, heads, dk).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v.data.reshape(n, heads, dk).transpose(1, 0, 2))
+    scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.dtype)
+    w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
+    if sink is not None:
+        sink.append(w)
+    drop = _dropout_scale(w.shape, dropout_p, rng, w.dtype) if train and dropout_p > 0 else None
+    wd = w if drop is None else w * drop
+    out_data = matmul_np(wd, vh).transpose(1, 0, 2).reshape(m, d)
+
+    def backward(g):
+        gh = np.ascontiguousarray(g.reshape(m, heads, dk).transpose(1, 0, 2))
+        gw = matmul_np(gh, vh.transpose(0, 2, 1))
+        if drop is not None:
+            gw = gw * drop
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        _accum(q, matmul_np(gs, kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(m, d))
+        _accum(k, matmul_np(gs.transpose(0, 2, 1), qh).transpose(1, 0, 2).reshape(n, d))
+        _accum(v, matmul_np(wd.transpose(0, 2, 1), gh).transpose(1, 0, 2).reshape(n, d))
+
+    return _make(out_data, (q, k, v), backward)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -451,16 +478,8 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
     payload = dict(arrays)
     if meta is not None:
         payload["__meta__"] = np.asarray(json.dumps(meta, sort_keys=True))
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, **payload)
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict | None]:

@@ -163,7 +163,6 @@ def test_criterion_05_gradients_match_finite_differences():
     check_op(T.transpose, [rng.standard_normal((3, 5))], rng, **kw)
     check_op(T.concat_last_dim,
              [rng.standard_normal((4, 3)), rng.standard_normal((4, 2))], rng, **kw)
-    check_op(lambda x: T.slice_last_dim(x, 1, 4), [rng.standard_normal((3, 6))], rng, **kw)
     check_op(lambda a, b: T.concat_rows([a, b]),
              [rng.standard_normal((2, 4)), rng.standard_normal((3, 4))], rng, **kw)
     check_op(lambda a, b: T.interleave_rows([a, b]),
@@ -185,6 +184,9 @@ def test_criterion_05_gradients_match_finite_differences():
     check_op(lambda x: T.cross_entropy(x, targets, ce_mask),
              [rng.standard_normal((3, 4))], rng, **kw)
     check_op(T.sum_all, [rng.standard_normal((2, 3, 4))], rng, **kw)
+    causal = np.tril(np.ones((4, 4), dtype=bool))
+    check_op(lambda q, k, v: T.attention(q, k, v, 2, causal),
+             [rng.standard_normal((4, 6)) for _ in range(3)], rng, **kw)
 
     schema = Schema(("e0", "e1"), ("r0", "r1"))
     model = tiny_model(schema, words=("alpha", "beta", "gamma"), d_model=16,

@@ -269,6 +269,23 @@ class TestDecodeHidden:
             assert a.shape == (2, 4, 3)
             np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_chunked_cache_matches_whole_prefix(self, two_type_schema):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        token_ids = np.array([1, 2, 3])
+        ids = np.array([20, 5, 9, 13, 2])
+        labels = np.array([0, 0, 0, 1, 1])
+        cache = DecodeRuntime(m, token_ids).fresh_caches()
+        with T.no_grad():
+            H = m.encode(token_ids)
+            E = m.build_E(m.span_embeddings(H))
+            whole = m.decode_hidden(m.decoder_inputs(E, ids, labels), H)
+            a = m.decode_hidden(m.decoder_inputs(E, ids[:2], labels[:2]), None, cache=cache)
+            b = m.decode_hidden(m.decoder_inputs(E, ids[2:], labels[2:], start=2), None,
+                                cache=cache)
+        assert cache.length == 5
+        np.testing.assert_allclose(np.concatenate([a.data, b.data]), whole.data,
+                                   rtol=1e-10, atol=1e-12)
+
 
 class TestIncrementalDecoding:
     def test_prefix_logits_match_teacher_forced_last_row(self, two_type_schema):
@@ -322,6 +339,26 @@ class TestCheckpoint:
         T.save_arrays(path, {"a": np.zeros(2)}, {"format": "something-else"})
         with pytest.raises(ValueError):
             Model.load(path)
+
+    def _tampered(self, tmp_path, schema, edit):
+        path = str(tmp_path / "ck.npz")
+        tiny_model(schema, dec_layers=1).save(path)
+        arrays, meta = T.load_arrays(path)
+        edit(arrays, meta)
+        T.save_arrays(path, arrays, meta)
+        return path
+
+    def test_wrong_shape_rejected(self, tmp_path, two_type_schema):
+        def edit(arrays, meta):
+            arrays["dec.0.ffn.w1"] = arrays["dec.0.ffn.w1"][:, :8]
+        with pytest.raises(ValueError, match="dec.0.ffn.w1"):
+            Model.load(self._tampered(tmp_path, two_type_schema, edit))
+
+    def test_config_without_its_layer_rejected(self, tmp_path, two_type_schema):
+        def edit(arrays, meta):
+            meta["config"]["dec_layers"] = 2
+        with pytest.raises(ValueError, match=r"missing \[.dec\.1\."):
+            Model.load(self._tampered(tmp_path, two_type_schema, edit))
 
     def test_behaviour_identical_after_reload(self, tmp_path, two_type_schema):
         m = tiny_model(two_type_schema)

@@ -143,9 +143,6 @@ class TestGradients:
     def test_concat_last_dim(self, rng):
         check_op(T.concat_last_dim, [rng.standard_normal((4, 3)), rng.standard_normal((4, 2))], rng)
 
-    def test_slice_last_dim(self, rng):
-        check_op(lambda x: T.slice_last_dim(x, 1, 4), [rng.standard_normal((3, 6))], rng)
-
     def test_concat_rows(self, rng):
         check_op(lambda a, b: T.concat_rows([a, b]),
                  [rng.standard_normal((2, 3)), rng.standard_normal((4, 3))], rng)
@@ -195,6 +192,63 @@ class TestGradients:
 
     def test_sum_all(self, rng):
         check_op(T.sum_all, [rng.standard_normal((2, 3, 4))], rng)
+
+
+def _attention_reference(q, k, v, heads, mask):
+    """Per-head loop: softmax(q_h k_h^T / sqrt(dk)) v_h, heads concatenated."""
+    dk = q.shape[1] // heads
+    parts = []
+    for h in range(heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        scores = q[:, cols] @ k[:, cols].T / math.sqrt(dk)
+        parts.append(T.masked_softmax_np(scores, mask) @ v[:, cols])
+    return np.concatenate(parts, axis=1)
+
+
+class TestAttention:
+    def test_grad_causal(self, rng):
+        mask = np.tril(np.ones((4, 4), dtype=bool))
+        check_op(lambda q, k, v: T.attention(q, k, v, 2, mask),
+                 [rng.standard_normal((4, 6)) for _ in range(3)], rng)
+
+    def test_grad_cross_shape(self, rng):
+        check_op(lambda q, k, v: T.attention(q, k, v, 3, None),
+                 [rng.standard_normal((3, 6)), rng.standard_normal((5, 6)),
+                  rng.standard_normal((5, 6))], rng)
+
+    def test_grad_dropout(self, rng):
+        def op(q, k, v):
+            return T.attention(q, k, v, 2, None, 0.4, np.random.default_rng(7), train=True)
+        check_op(op, [rng.standard_normal((4, 6)), rng.standard_normal((5, 6)),
+                      rng.standard_normal((5, 6))], rng)
+
+    def test_forward_matches_per_head_loop(self, rng):
+        q, k, v = (rng.standard_normal((n, 8)) for n in (5, 7, 7))
+        mask = rng.random((5, 7)) > 0.4
+        mask[:, 0] = True
+        sink = []
+        out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, mask, sink=sink)
+        np.testing.assert_allclose(out.data, _attention_reference(q, k, v, 4, mask),
+                                   rtol=1e-12, atol=1e-14)
+        assert sink[0].shape == (4, 5, 7)
+        assert (sink[0][:, ~mask] == 0.0).all()
+
+    def test_dropout_draws_one_weight_array(self, rng):
+        q, k, v = (T.Tensor(rng.standard_normal((n, 6))) for n in (3, 4, 4))
+        sink = []
+        out = T.attention(q, k, v, 2, None, 0.5, np.random.default_rng(3), True, sink)
+        keep = np.random.default_rng(3).random((2, 3, 4)) >= 0.5
+        w = sink[0] * keep / 0.5
+        want = np.concatenate([w[h] @ v.data[:, 3 * h:3 * h + 3] for h in range(2)], axis=1)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+
+    def test_rowwise_query_row_stable(self, rng):
+        q, k, v = (rng.standard_normal((n, 16)).astype(np.float32) for n in (6, 9, 9))
+        mask = np.arange(9)[None, :] <= np.arange(3, 9)[:, None]
+        with T.rowwise_kernels():
+            full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, mask)
+            one = T.attention(T.Tensor(q[2:3]), T.Tensor(k), T.Tensor(v), 4, mask[2:3])
+        assert (full.data[2:3] == one.data).all()
 
 
 class TestDropoutSemantics:
