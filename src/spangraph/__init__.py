@@ -39,7 +39,8 @@ from .grammar import (
     structural_labels,
 )
 from .model import AttnTrace, DecodeRuntime, Model, ModelConfig, WordVocab
-from .train import AdamW, TrainConfig, augment, encode_example, example_loss, lr_at, train_loop
+from .train import (AdamW, NonFiniteLoss, TrainConfig, augment, batch_loss, encode_example,
+                    example_loss, lr_at, train_loop)
 from .decode import DecodeConfig, GenerationResult, generate, nucleus_select, predict
 from .metrics import Counts, ScoreReport, evaluate_pairs, format_report, prf
 from .data import Dataset, load_dataset, make_synthetic, save_dataset
@@ -57,7 +58,7 @@ __all__ = [
     "structural_labels", "enumerate_valid_sequences",
     "Model", "ModelConfig", "WordVocab", "AttnTrace", "DecodeRuntime",
     "TrainConfig", "AdamW", "train_loop", "augment", "encode_example",
-    "example_loss", "lr_at",
+    "example_loss", "batch_loss", "lr_at", "NonFiniteLoss",
     "DecodeConfig", "GenerationResult", "generate", "predict", "nucleus_select",
     "Counts", "ScoreReport", "evaluate_pairs", "format_report", "prf",
     "Dataset", "load_dataset", "save_dataset", "make_synthetic",

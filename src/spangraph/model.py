@@ -9,9 +9,16 @@ embedding is the pointing table, there is no separate softmax weight).
 
 The ``Tensor`` layer code (``encode`` / ``span_embeddings`` /
 ``decode_hidden``) is the only definition of the network.  Training runs it
-over the whole teacher-forced prefix; generation runs the same methods under
+over whole teacher-forced prefixes; generation runs the same methods under
 ``no_grad`` one row at a time, with a ``DecodeCache`` of key/value rows, via
 ``DecodeRuntime``.
+
+Training packs a batch into one forward: the examples' token rows and
+decoder rows are concatenated, and the layer methods take the per-example
+row counts (``tok_lens`` / ``sym_lens``).  Positions restart at 0 in every
+example, and attention is masked block-diagonally so that no example sees
+another's rows.  With one example they build no mask, so decoding runs the
+unpacked arithmetic.
 """
 
 from __future__ import annotations
@@ -128,6 +135,26 @@ class DecodeCache:
     keys: list[np.ndarray]
     values: list[np.ndarray]
     length: int = 0
+
+
+def _positions(lengths) -> np.ndarray:
+    """Row positions that restart at 0 in every segment of a packed batch."""
+    if len(lengths) == 1:
+        return np.arange(lengths[0])
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+
+
+def _same_example(q_lens, k_lens) -> np.ndarray | None:
+    """(sum q_lens, sum k_lens) mask, True where query and key share an example.
+
+    None for a single example, whose rows may all attend to each other.
+    """
+    if q_lens is None or len(q_lens) == 1:
+        return None
+    seg = np.arange(len(q_lens))
+    return np.repeat(seg, q_lens)[:, None] == np.repeat(seg, k_lens)[None, :]
 
 
 def param_group(name: str) -> str:
@@ -262,39 +289,49 @@ class Model:
         out = T.add(T.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
         return T.dropout(out, self.config.dropout, rng, train)
 
-    def encode(self, token_ids: np.ndarray, train: bool = False, rng=None) -> Tensor:
-        """Contextual token states (L, D); with zero layers, embeddings + positions."""
+    def encode(self, token_ids: np.ndarray, train: bool = False, rng=None,
+               tok_lens=None) -> Tensor:
+        """Contextual token states (L, D); with zero layers, embeddings + positions.
+
+        ``tok_lens`` splits the rows into packed examples (default: one).
+        """
         n = len(token_ids)
-        if n > self.config.max_positions:
-            raise TooLong(f"sentence length {n} exceeds max_positions {self.config.max_positions}")
+        tok_lens = [n] if tok_lens is None else tok_lens
+        if max(tok_lens) > self.config.max_positions:
+            raise TooLong(f"sentence length {max(tok_lens)} exceeds max_positions "
+                          f"{self.config.max_positions}")
         p = self.params
         x = T.add(
             T.embedding_lookup(p["enc.word_emb"], token_ids),
-            T.embedding_lookup(p["enc.pos"], np.arange(n)),
+            T.embedding_lookup(p["enc.pos"], _positions(tok_lens)),
         )
         x = T.dropout(x, self.config.dropout, rng, train)
+        mask = _same_example(tok_lens, tok_lens)
         for i in range(self.config.enc_layers):
             h = T.layer_norm(x, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
-            x = T.add(x, self._mha(f"enc.{i}.attn", h, self._kv(f"enc.{i}.attn", h), None,
+            x = T.add(x, self._mha(f"enc.{i}.attn", h, self._kv(f"enc.{i}.attn", h), mask,
                                    train, rng, None))
             h = T.layer_norm(x, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
             x = T.add(x, self._ffn(f"enc.{i}.ffn", h, train, rng))
         return x
 
-    def span_embeddings(self, H: Tensor) -> Tensor:
+    def span_embeddings(self, H: Tensor, tok_lens=None) -> Tensor:
         """One row per span id (L*K*C, D): boundary-state concat under per-type maps.
 
-        Spans that would overhang the sentence keep their id slot but are
+        Spans that would overhang their sentence keep their id slot but are
         computed against a zero end-vector; the grammar mask keeps them from
-        ever being selected.
+        ever being selected.  With packed examples (``tok_lens``) each
+        example's L_b*K*C rows follow the previous example's.
         """
         L = H.shape[0]
         K = self.config.max_span_width
+        tok_lens = [L] if tok_lens is None else tok_lens
         starts = np.repeat(np.arange(L), K)
         ends = starts + np.tile(np.arange(K), L)
-        valid = ends < L
+        last = np.repeat(np.repeat(np.cumsum(tok_lens), tok_lens), K) - 1
+        valid = ends <= last
         h_start = T.embedding_lookup(H, starts)
-        h_end = T.embedding_lookup(H, np.minimum(ends, L - 1))
+        h_end = T.embedding_lookup(H, np.minimum(ends, last))
         h_end = T.mul(h_end, Tensor(valid[:, None].astype(self.config.np_dtype)))
         cat = T.concat_last_dim(h_start, h_end)
         per_type = [
@@ -308,14 +345,18 @@ class Model:
         return T.concat_rows([S, self.params["dec.special"], self.params["dec.rel"]])
 
     def decoder_inputs(self, E: Tensor, ids: np.ndarray, labels: np.ndarray,
-                       train: bool = False, rng=None, start: int = 0) -> Tensor:
-        """Input rows for the symbols at positions start, start+1, ... of a prefix."""
-        end = start + len(ids)
-        if end > self.config.max_positions:
-            raise PrefixTooLong(f"prefix length {end} exceeds max_positions")
+                       train: bool = False, rng=None, start: int = 0,
+                       sym_lens=None) -> Tensor:
+        """Input rows for the symbols at positions start, start+1, ... of a prefix.
+
+        With ``sym_lens`` the rows are packed prefixes, each starting at 0.
+        """
+        sym_lens = [len(ids)] if sym_lens is None else sym_lens
+        if start + max(sym_lens) > self.config.max_positions:
+            raise PrefixTooLong(f"prefix length {start + max(sym_lens)} exceeds max_positions")
         x = T.embedding_lookup(E, ids)
         if self.config.use_positions:
-            x = T.add(x, T.embedding_lookup(self.params["dec.pos"], np.arange(start, end)))
+            x = T.add(x, T.embedding_lookup(self.params["dec.pos"], start + _positions(sym_lens)))
         if self.config.use_structure:
             x = T.add(x, T.embedding_lookup(self.params["dec.struct"], labels))
         return T.dropout(x, self.config.dropout, rng, train)
@@ -326,16 +367,23 @@ class Model:
 
     def decode_hidden(self, x: Tensor, H: Tensor | None, train: bool = False, rng=None,
                       trace: AttnTrace | None = None,
-                      cache: DecodeCache | None = None) -> Tensor:
+                      cache: DecodeCache | None = None,
+                      sym_lens=None, tok_lens=None) -> Tensor:
         """Decoder states for input rows ``x``, attending causally and to ``H``.
 
         With a cache, ``x`` continues the cached prefix: each layer writes its
         keys/values there and attends over every filled row, cross-attention
         reads the cache instead of ``H``, and ``length`` advances past ``x``.
+        With packed examples, ``sym_lens`` / ``tok_lens`` give each one's rows
+        of ``x`` / ``H``, and attention stays inside an example.
         """
         start = 0 if cache is None else cache.length
         end = start + x.shape[0]
         causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]
+        block = _same_example(sym_lens, sym_lens)
+        if block is not None:
+            causal &= block
+        cross_mask = _same_example(sym_lens, tok_lens)
         cross = self.cross_kv(H) if cache is None else cache.cross
         sinks = (None, None) if trace is None else (trace.self_attn, trace.cross_attn)
         p = self.params
@@ -348,25 +396,34 @@ class Model:
                 kv = (Tensor(cache.keys[i][:end]), Tensor(cache.values[i][:end]))
             x = T.add(x, self._mha(f"dec.{i}.self", h, kv, causal, train, rng, sinks[0]))
             h = T.layer_norm(x, p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
-            x = T.add(x, self._mha(f"dec.{i}.cross", h, cross[i], None, train, rng, sinks[1]))
+            x = T.add(x, self._mha(f"dec.{i}.cross", h, cross[i], cross_mask, train, rng,
+                                   sinks[1]))
             h = T.layer_norm(x, p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"])
             x = T.add(x, self._ffn(f"dec.{i}.ffn", h, train, rng))
         if cache is not None:
             cache.length = end
         return x
 
-    def next_token_logits(self, Z: Tensor, E: Tensor) -> Tensor:
-        """Pointing scores (M, V): hidden states against the vocabulary rows."""
-        return T.matmul(Z, T.transpose(E))
+    def next_token_logits(self, Z: Tensor, E: Tensor, E_t: Tensor | None = None) -> Tensor:
+        """Pointing scores (M, V): hidden states against the vocabulary rows.
+
+        ``E_t`` is ``transpose(E)`` when the caller already holds it.
+        """
+        return T.matmul(Z, T.transpose(E) if E_t is None else E_t)
 
     def sequence_logits(self, token_ids: np.ndarray, input_ids: np.ndarray,
                         input_labels: np.ndarray, train: bool = False, rng=None,
-                        trace: AttnTrace | None = None) -> Tensor:
-        """Teacher-forced logits for every next-symbol position."""
-        H = self.encode(token_ids, train, rng)
-        E = self.build_E(self.span_embeddings(H))
-        x = self.decoder_inputs(E, input_ids, input_labels, train, rng)
-        z = self.decode_hidden(x, H, train, rng, trace)
+                        trace: AttnTrace | None = None,
+                        tok_lens=None, sym_lens=None) -> Tensor:
+        """Teacher-forced logits for every next-symbol position.
+
+        With ``tok_lens`` / ``sym_lens``, several examples packed back to back
+        (see the module docstring); their span rows share one E.
+        """
+        H = self.encode(token_ids, train, rng, tok_lens)
+        E = self.build_E(self.span_embeddings(H, tok_lens))
+        x = self.decoder_inputs(E, input_ids, input_labels, train, rng, sym_lens=sym_lens)
+        z = self.decode_hidden(x, H, train, rng, trace, sym_lens=sym_lens, tok_lens=tok_lens)
         return self.next_token_logits(z, E)
 
     # ------------------------------------------------------------------
@@ -433,6 +490,7 @@ class DecodeRuntime:
         with T.no_grad(), T.rowwise_kernels():
             H = model.encode(token_ids)
             self.E = model.build_E(model.span_embeddings(H))
+            self.E_t = T.transpose(self.E)
             self.cross = model.cross_kv(H)
 
     def fresh_caches(self) -> DecodeCache:
@@ -448,7 +506,7 @@ class DecodeRuntime:
         with T.no_grad(), T.rowwise_kernels():
             x = self.model.decoder_inputs(self.E, [sym_id], [label], start=position)
             z = self.model.decode_hidden(x, None, cache=caches)
-            return self.model.next_token_logits(z, self.E).data[0]
+            return self.model.next_token_logits(z, self.E, self.E_t).data[0]
 
     def prefix_logits(self, ids, labels) -> np.ndarray:
         """Cache-free recompute of the whole prefix; logits after its last symbol."""

@@ -416,24 +416,34 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out_data, (table,), backward)
 
 
-def cross_entropy(logits: Tensor, targets, mask: np.ndarray | None = None) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` rows under masked softmax."""
+def cross_entropy(logits: Tensor, targets, mask: np.ndarray | None = None,
+                  weights: np.ndarray | None = None) -> Tensor:
+    """Negative log-likelihood of ``targets`` rows under masked softmax.
+
+    The rows' NLLs are summed with ``weights`` (one per row), by default 1/n:
+    the mean.
+    """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     x = logits.data if logits.data.ndim == 2 else logits.data[None, :]
+    n = len(targets)
     if targets.shape[0] != x.shape[0]:
         raise ShapeMismatch("one target per logits row required")
+    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights)
+    if w.shape != (n,):
+        raise ShapeMismatch("one weight per logits row required")
+    w = w.astype(x.dtype, copy=False)
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not mask[np.arange(len(targets)), targets].all():
+        if not mask[np.arange(n), targets].all():
             raise ValueError("a target id is masked out")
     probs = masked_softmax_np(x, mask)
-    picked = probs[np.arange(len(targets)), targets]
-    out_data = np.asarray(-np.log(picked).mean(), dtype=x.dtype)
+    picked = probs[np.arange(n), targets]
+    out_data = np.asarray(-(np.log(picked) * w).sum(), dtype=x.dtype)
 
     def backward(g):
         grad = probs.copy()
-        grad[np.arange(len(targets)), targets] -= 1.0
-        grad *= np.asarray(g / len(targets), dtype=x.dtype)
+        grad[np.arange(n), targets] -= 1.0
+        grad *= (w * g)[:, None]
         _accum(logits, grad.reshape(logits.shape))
 
     return _make(out_data, (logits,), backward)

@@ -4,11 +4,17 @@ Every batch is rebuilt from scratch out of per-step seeded generators
 (``default_rng([seed, step, k])``), so a run is a pure function of the seed
 and the data: rerunning or resuming from a checkpoint reproduces the exact
 loss sequence bit for bit (with single-threaded BLAS).
+
+A step runs its whole batch as one packed forward and backward
+(``batch_loss``): the examples are concatenated rather than padded, and
+block-diagonal attention masks keep each one from seeing the others.  The
+loss is the mean over examples of each one's mean next-symbol NLL.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -19,7 +25,7 @@ from .graph import Document, EntitySpan, IEGraph, Relation
 from .grammar import legal_mask, replay
 from .linearize import Ordering, linearize
 from .model import Model, decay_excluded, param_group
-from .vocab import build_layout, symbol_to_id
+from .vocab import N_SPECIALS, build_layout, symbol_to_id
 
 
 class GoldIllegalUnderMask(ValueError):
@@ -29,6 +35,15 @@ class GoldIllegalUnderMask(ValueError):
     the schema does not allow); training on such an example would put
     probability mass on a symbol the decoder can never produce.
     """
+
+
+class NonFiniteLoss(FloatingPointError):
+    """A step's batch loss is NaN or infinite; nothing of that step was applied or saved."""
+
+    def __init__(self, step: int, loss: float):
+        super().__init__(f"non-finite training loss {loss} at step {step}")
+        self.step = step
+        self.loss = loss
 
 
 @dataclass(frozen=True)
@@ -148,10 +163,41 @@ def encode_example(model: Model, doc: Document, graph: IEGraph,
     return token_ids, ids, labels, masks
 
 
+def batch_loss(model: Model, examples, train: bool = False, rng=None) -> T.Tensor:
+    """Mean over ``examples`` of each one's mean next-symbol NLL, from one packed forward.
+
+    ``examples`` are ``encode_example`` tuples.  Their span rows fill the
+    shared vocabulary E example by example, followed once by the specials and
+    relation types, so each example's symbol ids and gold masks are remapped
+    into E's columns; the columns of other examples stay masked out.
+    """
+    per_token = model.config.max_span_width * model.schema.n_entity_types
+    tok_lens = [len(ex[0]) for ex in examples]
+    sym_lens = [len(ex[1]) - 1 for ex in examples]
+    n_spans = per_token * sum(tok_lens)
+    shared = np.arange(n_spans, n_spans + N_SPECIALS + model.schema.n_relation_types)
+    masks = np.zeros((sum(sym_lens), n_spans + len(shared)), dtype=bool)
+    ids = []
+    span_at = row = 0
+    for (_, sym_ids, _, gold), n_tok, n_sym in zip(examples, tok_lens, sym_lens):
+        cols = np.concatenate([np.arange(span_at, span_at + per_token * n_tok), shared])
+        ids.append(cols[sym_ids])
+        masks[row:row + n_sym, cols] = gold
+        span_at += per_token * n_tok
+        row += n_sym
+    weights = np.repeat([1.0 / (len(examples) * n) for n in sym_lens], sym_lens)
+    logits = model.sequence_logits(
+        np.concatenate([ex[0] for ex in examples]),
+        np.concatenate([i[:-1] for i in ids]),
+        np.concatenate([ex[2][:-1] for ex in examples]),
+        train, rng, tok_lens=tok_lens, sym_lens=sym_lens)
+    return T.cross_entropy(logits, np.concatenate([i[1:] for i in ids]), masks, weights)
+
+
 def example_loss(model: Model, token_ids, ids, labels, masks,
                  train: bool = False, rng=None) -> T.Tensor:
-    logits = model.sequence_logits(token_ids, ids[:-1], labels[:-1], train=train, rng=rng)
-    return T.cross_entropy(logits, ids[1:], masks)
+    """Mean next-symbol NLL of one encoded example (``batch_loss`` of one)."""
+    return batch_loss(model, [(token_ids, ids, labels, masks)], train, rng)
 
 
 class AdamW:
@@ -169,23 +215,48 @@ class AdamW:
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        sizes: dict = {}
+        for p in params.values():
+            sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), p.data.size)
+        flat = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in sizes.items()}
+        # per parameter: name, lr group, whether it takes decay, and two views
+        # in its shape of the scratch arrays all parameters of its dtype share
+        self._plan = [(n, param_group(n), not decay_excluded(n),
+                       *(b[:p.data.size].reshape(p.data.shape) for b in flat[p.data.dtype]))
+                      for n, p in params.items()]
 
     def step(self, lrs: dict[str, float]) -> None:
+        """One update, computed in place through the shared scratch arrays.
+
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``p -= lr * ((m/c1) / (sqrt(v/c2) + eps) + wd*p)``, the decay term only
+        where the parameter takes it.
+        """
         self.t += 1
         b1, b2 = self.betas
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
+        for name, group, decays, update, tmp in self._plan:
+            p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m, v = self.m[name], self.v[name]
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(1.0 - b1, g, out=tmp)
+            m += tmp
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if not decay_excluded(name):
-                update = update + self.weight_decay * p.data
-            p.data -= lrs[param_group(name)] * update
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, c1, out=update)
+            update /= tmp
+            if decays:
+                np.multiply(self.weight_decay, p.data, out=tmp)
+                update += tmp
+            update *= lrs[group]
+            p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -272,22 +343,19 @@ def train_loop(model: Model, cfg: TrainConfig, train_examples,
             data_rng = np.random.default_rng([cfg.seed, step, 0])
             drop_rng = np.random.default_rng([cfg.seed, step, 1])
             opt.zero_grad()
-            losses = []
-            for _ in range(cfg.batch_size):
-                doc, graph = augment(train_examples, data_rng, cfg.max_sentences)
-                tok, ids, labels, masks = encode_example(model, doc, graph, cfg.ordering, data_rng)
-                losses.append(example_loss(model, tok, ids, labels, masks, True, drop_rng))
-            total = losses[0]
-            for extra in losses[1:]:
-                total = T.add(total, extra)
-            mean = T.mul(total, 1.0 / len(losses))
-            T.backward(mean)
+            batch = [encode_example(model, *augment(train_examples, data_rng, cfg.max_sentences),
+                                    cfg.ordering, data_rng)
+                     for _ in range(cfg.batch_size)]
+            loss = batch_loss(model, batch, True, drop_rng)
+            loss_val = float(loss.data)
+            if not math.isfinite(loss_val):
+                raise NonFiniteLoss(step, loss_val)
+            T.backward(loss)
             if cfg.clip_norm is not None:
                 clip_gradients(model.params, cfg.clip_norm)
             lrs = lr_at(step, cfg)
             opt.step(lrs)
 
-            loss_val = float(mean.data)
             result.losses.append(loss_val)
             record = {
                 "step": step,
@@ -295,6 +363,8 @@ def train_loop(model: Model, cfg: TrainConfig, train_examples,
                 "lr_encoder": lrs["encoder"],
                 "lr_decoder": lrs["decoder"],
                 "lr_other": lrs["other"],
+                "tokens": sum(len(ex[0]) for ex in batch),
+                "target_symbols": sum(len(ex[1]) - 1 for ex in batch),
             }
             is_eval = bool(dev_examples) and cfg.eval_every > 0 and (
                 step % cfg.eval_every == 0 or step == cfg.max_steps

@@ -187,6 +187,10 @@ def test_criterion_05_gradients_match_finite_differences():
     causal = np.tril(np.ones((4, 4), dtype=bool))
     check_op(lambda q, k, v: T.attention(q, k, v, 2, causal),
              [rng.standard_normal((4, 6)) for _ in range(3)], rng, **kw)
+    packed = np.repeat([0, 1], [2, 3])
+    block_causal = (packed[:, None] == packed[None, :]) & np.tril(np.ones((5, 5), dtype=bool))
+    check_op(lambda q, k, v: T.attention(q, k, v, 2, block_causal),
+             [rng.standard_normal((5, 6)) for _ in range(3)], rng, **kw)
 
     schema = Schema(("e0", "e1"), ("r0", "r1"))
     model = tiny_model(schema, words=("alpha", "beta", "gamma"), d_model=16,

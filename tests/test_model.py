@@ -252,6 +252,25 @@ class TestDecodeHidden:
         np.testing.assert_array_equal(za.data[:3], zb.data[:3])
         assert not np.allclose(za.data[3], zb.data[3])
 
+    def test_packed_examples_do_not_see_each_other(self, two_type_schema):
+        # K=3, C=2: example 1 (3 tokens) owns span columns 0..17, example 2
+        # (4 tokens) 18..41; START/END/SEP and the 2 relations share 42..46
+        m = tiny_model(two_type_schema, enc_layers=2, dec_layers=2)
+        ids = np.array([42, 5, 9, 13, 42, 23, 44])
+        labels = np.array([0, 0, 0, 1, 0, 0, 0])
+        own = np.r_[0:18, 42:47]
+
+        def logits(second):
+            tokens = np.array([1, 2, 3, *second])
+            return m.sequence_logits(tokens, ids, labels, tok_lens=[3, 4],
+                                     sym_lens=[4, 3]).data
+
+        a = logits([1, 1, 2, 3])
+        b = logits([3, 3, 1, 2])
+        assert a.shape == (7, 47)
+        np.testing.assert_array_equal(a[:4, own], b[:4, own])
+        assert not np.allclose(a[4:], b[4:])
+
     def test_attention_trace_shapes_and_sums(self, two_type_schema):
         m = tiny_model(two_type_schema, dec_layers=2, heads=2)
         token_ids = np.array([1, 2, 3])

@@ -190,6 +190,18 @@ class TestGradients:
         mask[0, 2] = False
         check_op(lambda x: T.cross_entropy(x, targets, mask), [rng.standard_normal((3, 4))], rng)
 
+    def test_cross_entropy_row_weights(self, rng):
+        targets = np.array([1, 0, 3, 2])
+        mask = np.ones((4, 5), dtype=bool)
+        mask[0, 2] = mask[3, 4] = False
+        weights = np.array([0.125, 0.125, 0.5, 0.25])
+        check_op(lambda x: T.cross_entropy(x, targets, mask, weights),
+                 [rng.standard_normal((4, 5))], rng)
+
+    def test_cross_entropy_needs_one_weight_per_row(self):
+        with pytest.raises(T.ShapeMismatch):
+            T.cross_entropy(T.Tensor(np.zeros((3, 4))), np.array([1, 0, 3]), weights=np.ones(2))
+
     def test_sum_all(self, rng):
         check_op(T.sum_all, [rng.standard_normal((2, 3, 4))], rng)
 
@@ -210,6 +222,13 @@ class TestAttention:
         mask = np.tril(np.ones((4, 4), dtype=bool))
         check_op(lambda q, k, v: T.attention(q, k, v, 2, mask),
                  [rng.standard_normal((4, 6)) for _ in range(3)], rng)
+
+    def test_grad_block_diagonal_causal(self, rng):
+        # two packed examples of 2 and 3 rows: causal inside each, nothing across
+        seg = np.repeat([0, 1], [2, 3])
+        mask = (seg[:, None] == seg[None, :]) & np.tril(np.ones((5, 5), dtype=bool))
+        check_op(lambda q, k, v: T.attention(q, k, v, 2, mask),
+                 [rng.standard_normal((5, 6)) for _ in range(3)], rng)
 
     def test_grad_cross_shape(self, rng):
         check_op(lambda q, k, v: T.attention(q, k, v, 3, None),

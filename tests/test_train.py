@@ -13,8 +13,10 @@ from spangraph.model import Model, ModelConfig, WordVocab
 from spangraph.train import (
     AdamW,
     GoldIllegalUnderMask,
+    NonFiniteLoss,
     TrainConfig,
     augment,
+    batch_loss,
     clip_gradients,
     encode_example,
     example_loss,
@@ -22,6 +24,20 @@ from spangraph.train import (
     train_loop,
 )
 from _helpers import make_schema, tiny_model
+
+
+@pytest.fixture(scope="module")
+def toy_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy")
+    paths = make_synthetic(str(out), seed=3, n_train=11, n_dev=4, n_test=4)
+    return load_dataset(paths["train"])
+
+
+def _corpus_model(ds, seed=0, d=32):
+    vocab = WordVocab.build([doc for doc, _ in ds.examples])
+    cfg = ModelConfig(d_model=d, enc_layers=1, dec_layers=1, heads=2,
+                      max_span_width=ds.max_span_width, dtype="float64")
+    return Model(cfg, ds.schema, vocab, rng=np.random.default_rng(seed))
 
 
 class TestLrSchedule:
@@ -160,6 +176,29 @@ class TestExampleLoss:
         want = float(np.log(masks.sum(axis=1)).mean())
         assert loss.item() == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 8])
+    def test_packed_batch_matches_per_example_losses(self, toy_corpus, batch_size):
+        # oracle: one graph per example, their mean NLLs averaged on the tape
+        model = _corpus_model(toy_corpus)
+        data_rng = np.random.default_rng(batch_size)
+        batch = [encode_example(model, *augment(list(toy_corpus.examples), data_rng, 3))
+                 for _ in range(batch_size)]
+        loss = batch_loss(model, batch)
+        T.backward(loss)
+        packed = {n: p.grad.copy() for n, p in model.params.items()}
+        for p in model.params.values():
+            p.grad = None
+        total = example_loss(model, *batch[0])
+        for ex in batch[1:]:
+            total = T.add(total, example_loss(model, *ex))
+        mean = T.mul(total, 1.0 / batch_size)
+        T.backward(mean)
+        assert loss.item() == pytest.approx(mean.item(), rel=1e-12)
+        scale = max(np.abs(g).max() for g in packed.values())
+        for n, p in model.params.items():
+            np.testing.assert_allclose(packed[n], p.grad, rtol=0, atol=1e-10 * scale,
+                                       err_msg=n)
+
 
 class TestAdamW:
     def _params(self, rng):
@@ -195,6 +234,46 @@ class TestAdamW:
                     update = update + 0.01 * ref[n]
                 ref[n] = ref[n] - lrs[param_group(n)] * update
                 np.testing.assert_allclose(params[n].data, ref[n], rtol=1e-12, atol=1e-15)
+
+    def test_in_place_step_bit_equal_to_allocating_reference(self, rng):
+        from spangraph.model import decay_excluded, param_group
+
+        def reference_step(opt, lrs):
+            # the allocating update this optimizer's in-place step replaced
+            opt.t += 1
+            b1, b2 = opt.betas
+            c1 = 1.0 - b1 ** opt.t
+            c2 = 1.0 - b2 ** opt.t
+            for name, p in opt.params.items():
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m, v = opt.m[name], opt.v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                update = (m / c1) / (np.sqrt(v / c2) + opt.eps)
+                if not decay_excluded(name):
+                    update = update + opt.weight_decay * p.data
+                p.data -= lrs[param_group(name)] * update
+
+        for dtype in (np.float32, np.float64):
+            params = self._params(rng)
+            for p in params.values():
+                p.data = p.data.astype(dtype)
+            twins = {n: T.Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
+            opt, ref = AdamW(params), AdamW(twins)
+            lrs = {"encoder": 1e-3, "decoder": 2e-3, "other": 3e-3}
+            for _ in range(5):
+                for n in params:
+                    g = rng.standard_normal(params[n].shape).astype(dtype)
+                    params[n].grad, twins[n].grad = g, g.copy()
+                opt.step(lrs)
+                reference_step(ref, lrs)
+            for n in params:
+                assert params[n].data.dtype == dtype
+                np.testing.assert_array_equal(params[n].data, twins[n].data)
+                np.testing.assert_array_equal(opt.m[n], ref.m[n])
+                np.testing.assert_array_equal(opt.v[n], ref.v[n])
 
     def test_missing_grad_means_zero_not_skip(self, rng):
         # after real steps, a parameter with no grad still moves (momentum + decay)
@@ -243,24 +322,13 @@ class TestClipGradients:
         np.testing.assert_array_equal(params["a"].grad, [0.3, 0.4])
 
 
-@pytest.fixture(scope="module")
-def toy_corpus(tmp_path_factory):
-    out = tmp_path_factory.mktemp("toy")
-    paths = make_synthetic(str(out), seed=3, n_train=11, n_dev=4, n_test=4)
-    return load_dataset(paths["train"])
 
 
 class TestTrainingDynamics:
-    def _model(self, ds, seed=0, d=32):
-        vocab = WordVocab.build([doc for doc, _ in ds.examples])
-        cfg = ModelConfig(d_model=d, enc_layers=1, dec_layers=1, heads=2,
-                          max_span_width=ds.max_span_width, dtype="float64")
-        return Model(cfg, ds.schema, vocab, rng=np.random.default_rng(seed))
-
     def test_loss_decreases_monotonically_over_first_50_steps(self, toy_corpus):
         # fixed 5-sentence set, full-set objective after every update
         examples = list(toy_corpus.examples)[:5]
-        model = self._model(toy_corpus)
+        model = _corpus_model(toy_corpus)
         cfg = TrainConfig(max_steps=200, batch_size=1, seed=0,
                           lr_encoder=3e-4, lr_decoder=7e-4, lr_other=1e-3)
         enc = [encode_example(model, d, g) for d, g in examples]
@@ -287,13 +355,13 @@ class TestTrainingDynamics:
     def test_ten_step_run_bit_identical(self, toy_corpus):
         examples = list(toy_corpus.examples)[:5]
         cfg = TrainConfig(max_steps=10, batch_size=2, max_sentences=2, seed=4)
-        r1 = train_loop(self._model(toy_corpus, seed=1), cfg, examples)
-        r2 = train_loop(self._model(toy_corpus, seed=1), cfg, examples)
+        r1 = train_loop(_corpus_model(toy_corpus, seed=1), cfg, examples)
+        r2 = train_loop(_corpus_model(toy_corpus, seed=1), cfg, examples)
         assert r1.losses == r2.losses  # bitwise, not approx
 
     def test_metrics_log_and_checkpoints(self, toy_corpus, tmp_path):
         examples = list(toy_corpus.examples)[:5]
-        model = self._model(toy_corpus)
+        model = _corpus_model(toy_corpus)
         cfg = TrainConfig(max_steps=4, batch_size=1, seed=0, eval_every=2)
         res = train_loop(model, cfg, examples, dev_examples=examples[:2],
                          out_dir=str(tmp_path))
@@ -303,11 +371,30 @@ class TestTrainingDynamics:
         lines = [json.loads(l) for l in open(res.metrics_path)]
         assert [r["step"] for r in lines] == [1, 2, 3, 4]
         for r in lines:
-            assert {"loss", "lr_encoder", "lr_decoder", "lr_other"} <= set(r)
+            assert {"loss", "lr_encoder", "lr_decoder", "lr_other",
+                    "tokens", "target_symbols"} <= set(r)
+            assert r["tokens"] > 0 and r["target_symbols"] > 0
         assert "dev_rel_strict_f1" in lines[1] and "dev_rel_strict_f1" in lines[3]
         assert "dev_rel_strict_f1" not in lines[0]
         assert res.best_dev_f1 is not None
 
+    def test_non_finite_loss_stops_before_any_update_or_write(self, toy_corpus, tmp_path):
+        examples = list(toy_corpus.examples)[:5]
+        model = _corpus_model(toy_corpus)
+        model.params["dec.0.ffn.w1"].data[0, 0] = np.nan
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        cfg = TrainConfig(max_steps=3, batch_size=2, seed=0, eval_every=1)
+        with pytest.raises(NonFiniteLoss) as err:
+            train_loop(model, cfg, examples, dev_examples=examples[:2], out_dir=str(tmp_path))
+        assert err.value.step == 1
+        assert isinstance(err.value, FloatingPointError)
+        assert not (tmp_path / "best.npz").exists()
+        assert not (tmp_path / "last.npz").exists()
+        assert (tmp_path / "metrics.jsonl").read_text() == ""
+        assert all(p.grad is None for p in model.params.values())
+        for n, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[n])
+
     def test_empty_train_set_rejected(self, toy_corpus):
         with pytest.raises(ValueError):
-            train_loop(self._model(toy_corpus), TrainConfig(max_steps=1), [])
+            train_loop(_corpus_model(toy_corpus), TrainConfig(max_steps=1), [])
