@@ -39,9 +39,10 @@ from .grammar import (
     structural_labels,
 )
 from .model import AttnTrace, DecodeRuntime, Model, ModelConfig, WordVocab
-from .train import (AdamW, NonFiniteLoss, TrainConfig, augment, batch_loss, encode_example,
-                    example_loss, lr_at, train_loop)
-from .decode import DecodeConfig, GenerationResult, generate, nucleus_select, predict
+from .train import (AdamW, NonFiniteGradNorm, NonFiniteLoss, TrainConfig, augment, batch_loss,
+                    encode_example, example_loss, grad_norm, lr_at, train_loop)
+from .decode import (DecodeConfig, GenerationResult, generate, generate_batch, nucleus_select,
+                     predict)
 from .metrics import Counts, ScoreReport, evaluate_pairs, format_report, prf
 from .data import Dataset, load_dataset, make_synthetic, save_dataset
 from .introspect import export_attention, export_struct_similarity, struct_similarity
@@ -58,8 +59,9 @@ __all__ = [
     "structural_labels", "enumerate_valid_sequences",
     "Model", "ModelConfig", "WordVocab", "AttnTrace", "DecodeRuntime",
     "TrainConfig", "AdamW", "train_loop", "augment", "encode_example",
-    "example_loss", "batch_loss", "lr_at", "NonFiniteLoss",
-    "DecodeConfig", "GenerationResult", "generate", "predict", "nucleus_select",
+    "example_loss", "batch_loss", "lr_at", "NonFiniteLoss", "NonFiniteGradNorm", "grad_norm",
+    "DecodeConfig", "GenerationResult", "generate", "generate_batch", "predict",
+    "nucleus_select",
     "Counts", "ScoreReport", "evaluate_pairs", "format_report", "prf",
     "Dataset", "load_dataset", "save_dataset", "make_synthetic",
     "export_attention", "export_struct_similarity", "struct_similarity",

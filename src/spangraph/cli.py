@@ -17,9 +17,9 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, load_dataset, make_synthetic, save_dataset
-from .decode import DecodeConfig, generate
+from .decode import DecodeConfig, GenerationResult, generate, generate_batch
 from .fileio import atomic_write
-from .graph import Schema
+from .graph import IEGraph, Schema
 from .introspect import export_attention, export_struct_similarity
 from .linearize import Ordering, render_sequence
 from .metrics import evaluate_pairs, format_report
@@ -179,14 +179,29 @@ def _decode_config(args) -> DecodeConfig:
     )
 
 
+def _decode_dataset(model: Model, ds: Dataset, args) -> list[GenerationResult | None]:
+    """Decode every document in lockstep batches, results in input order.
+
+    A document too long for the model gets one error line on stderr and a
+    None result; the others are decoded all the same.
+    """
+    results = generate_batch(model, ds.documents(), _decode_config(args))
+    for i, res in enumerate(results):
+        if not isinstance(res, GenerationResult):
+            print(f"error: {res}", file=sys.stderr)
+            results[i] = None
+    return results
+
+
 def cmd_generate(args) -> int:
     model, _, _ = Model.load(args.checkpoint)
     ds = load_dataset(args.data)
     _check_same_schema(model.schema, ds.schema, args.data)
-    cfg = _decode_config(args)
+    results = _decode_dataset(model, ds, args)
     preds = []
-    for doc, _ in ds:
-        res = generate(model, doc, cfg)
+    for doc, res in zip(ds.documents(), results):
+        if res is None:
+            continue
         if args.render:
             print(f"{doc.id}: {render_sequence(res.sequence, model.schema)}")
         preds.append((doc, res.graph))
@@ -195,16 +210,20 @@ def cmd_generate(args) -> int:
             args.out, Dataset(model.schema, model.config.max_span_width, tuple(preds))
         )
         print(f"wrote {len(preds)} predictions to {args.out}")
-    return 0
+    return 1 if None in results else 0
 
 
 def cmd_evaluate(args) -> int:
+    failed = False
     if args.checkpoint and args.data:
         model, _, _ = Model.load(args.checkpoint)
         ds = load_dataset(args.data)
         _check_same_schema(model.schema, ds.schema, args.data)
-        cfg = _decode_config(args)
-        pairs = [(generate(model, doc, cfg).graph, gold) for doc, gold in ds]
+        results = _decode_dataset(model, ds, args)
+        failed = None in results
+        # a document that could not be decoded counts as an empty prediction
+        pairs = [(IEGraph((), ()) if res is None else res.graph, gold)
+                 for res, (_, gold) in zip(results, ds)]
     elif args.pred and args.gold:
         pred_ds = load_dataset(args.pred)
         gold_ds = load_dataset(args.gold)
@@ -235,7 +254,7 @@ def cmd_evaluate(args) -> int:
         os.makedirs(os.path.dirname(os.path.abspath(args.report)), exist_ok=True)
         with atomic_write(args.report) as fh:
             fh.write("\n".join(lines) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_inspect_attention(args) -> int:

@@ -5,6 +5,12 @@ vocabulary, the FSM mask removes every symbol that would break the grammar,
 and greedy or nucleus selection picks among what is left.  Every returned
 sequence therefore parses: if the length budget runs out mid-graph, the
 partial triple is dropped and the sequence is closed with SEP/END.
+
+Documents decode in lockstep batches: sentences of one token count share
+one vocabulary size and one length budget, so a batch needs no padding, and
+each step runs the decoder once for all its unfinished sentences.  Attention
+is grouped per sentence and the kernels are row-stable, so a sentence's
+logits are bit-equal whether it decodes alone (``generate``) or in a batch.
 """
 
 from __future__ import annotations
@@ -13,12 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Phase, advance, initial_state, legal_mask, replay
+from .grammar import Phase, advance, initial_state, legal_mask, replay, structural_labels
 from .graph import Document, IEGraph
 from .linearize import END, SEP, START, Symbol, GraphSequence, delinearize
-from .model import AttnTrace, DecodeRuntime, Model
+from .model import AttnTrace, DecodeRuntime, Model, TooLong
 from .tensor import masked_softmax_np, no_grad, rowwise_kernels
 from .vocab import build_layout, id_to_symbol, symbol_to_id
+
+# A lockstep batch holds at most this many self-attention cache rows per
+# layer (sentences x length budget): about 1 MB of keys and values at
+# d_model 64 with two decoder layers.
+BATCH_CACHE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -82,65 +93,150 @@ def _close_sequence(symbols: list[Symbol]) -> list[Symbol]:
     return out
 
 
-def generate(model: Model, doc: Document, config: DecodeConfig = DecodeConfig(),
-             capture_attention: bool = False, fast: bool = True) -> GenerationResult:
-    """Decode one document into a graph.
+def _length_budget(model: Model, config: DecodeConfig, n_tokens: int) -> int:
+    max_len = config.max_len if config.max_len is not None else 3 + 4 * n_tokens
+    return min(max_len, model.config.max_positions - 2)
+
+
+def _too_long(model: Model, doc: Document) -> TooLong | None:
+    if len(doc) <= model.config.max_positions:
+        return None
+    return TooLong(f"document {doc.id!r}: {len(doc)} tokens exceed max_positions "
+                   f"{model.config.max_positions}")
+
+
+def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
+                     keep_logits: bool) -> list[GenerationResult]:
+    """Decode documents of one token count together, one decoder call per step.
 
     ``fast`` extends a key/value cache one symbol at a time; with
-    ``fast=False`` the whole prefix is recomputed from scratch every step.
-    The two paths run the same one-row layer code and give bit-identical logits.
+    ``fast=False`` the whole prefixes are recomputed from scratch every step.
+    A sentence leaves the batch when it emits END or reaches the length
+    budget, so the work follows the sentences still decoding.
     """
-    layout = build_layout(len(doc), model.schema, model.config.max_span_width)
-    token_ids = model.word_vocab.encode(doc.tokens)
-    runtime = DecodeRuntime(model, token_ids)
+    n_tokens = len(docs[0])
+    layout = build_layout(n_tokens, model.schema, model.config.max_span_width)
+    max_len = _length_budget(model, config, n_tokens)
+    runtime = DecodeRuntime(model, np.stack([model.word_vocab.encode(d.tokens) for d in docs]))
+    live = list(range(len(docs))) if max_len > 1 else []  # in runtime row order
+    caches = runtime.fresh_caches(max_len) if fast and live else None
 
-    max_len = config.max_len if config.max_len is not None else 3 + 4 * len(doc)
-    max_len = min(max_len, model.config.max_positions - 2)
-
-    state = initial_state()
-    caches = runtime.fresh_caches()
-    symbols: list[Symbol] = [START]
-    ids = [layout.start_id]
-    labels = [int(state.phase)]
-    step_logits: list[np.ndarray] = []
-
-    while len(symbols) < max_len and not state.finished:
+    states = [initial_state() for _ in docs]
+    symbols: list[list[Symbol]] = [[START] for _ in docs]
+    ids = [[layout.start_id] for _ in docs]
+    labels = [[int(Phase.NODE)] for _ in docs]
+    step_logits: list[list[np.ndarray]] = [[] for _ in docs]
+    position = 0  # of the symbols fed this step; every live sentence is at the same one
+    while live:
         if fast:
-            logits = runtime.step_logits(ids[-1], len(ids) - 1, labels[-1], caches)
+            logits = runtime.step_logits(np.array([ids[b][-1] for b in live]), position,
+                                         np.array([labels[b][-1] for b in live]), caches)
         else:
-            logits = runtime.prefix_logits(ids, labels)
-        step_logits.append(logits)
-        mask = legal_mask(state, layout, model.schema)
+            logits = runtime.prefix_logits([ids[b] for b in live], [labels[b] for b in live])
+        position += 1
+        masks = np.stack([legal_mask(states[b], layout, model.schema) for b in live])
         if config.mode == "greedy":
-            pick = int(np.argmax(np.where(mask, logits, -np.inf)))
+            picks = np.argmax(np.where(masks, logits, -np.inf), axis=1).tolist()
         else:
-            rng = np.random.default_rng([config.seed, len(ids)])
-            pick = nucleus_select(logits, mask, config.top_p, rng)
-        sym = id_to_symbol(layout, pick)
-        labels.append(int(state.phase))
-        state = advance(state, sym)
-        symbols.append(sym)
-        ids.append(pick)
+            picks = [nucleus_select(logits[r], masks[r], config.top_p,
+                                    np.random.default_rng([config.seed, len(ids[b])]))
+                     for r, b in enumerate(live)]
+        for r, (b, pick) in enumerate(zip(live, picks)):
+            if keep_logits:
+                step_logits[b].append(logits[r])
+            sym = id_to_symbol(layout, pick)
+            labels[b].append(int(states[b].phase))
+            states[b] = advance(states[b], sym)
+            symbols[b].append(sym)
+            ids[b].append(pick)
+        keep = [r for r, b in enumerate(live)
+                if not states[b].finished and len(symbols[b]) < max_len]
+        if len(keep) < len(live):
+            live = [live[r] for r in keep]
+            if live:
+                runtime.keep(keep, caches)
 
-    truncated = not state.finished
-    if truncated:
-        symbols = _close_sequence(symbols)
-        ids = [symbol_to_id(layout, s) for s in symbols]
+    results = []
+    for b in range(len(docs)):
+        truncated = not states[b].finished
+        if truncated:
+            symbols[b] = _close_sequence(symbols[b])
+            ids[b] = [symbol_to_id(layout, s) for s in symbols[b]]
+        seq = GraphSequence(tuple(symbols[b]))
+        results.append(GenerationResult(seq, delinearize(seq), ids[b], step_logits[b],
+                                        truncated))
+    return results
 
-    seq = GraphSequence(tuple(symbols))
-    graph = delinearize(seq)
-    trace = None
+
+def generate(model: Model, doc: Document, config: DecodeConfig = DecodeConfig(),
+             capture_attention: bool = False, fast: bool = True) -> GenerationResult:
+    """Decode one document into a graph: the lockstep loop with a batch of one.
+
+    ``fast=False`` recomputes the whole prefix every step instead of using
+    the key/value cache; the two paths give bit-identical logits.  Raises
+    ``TooLong`` when the document has more tokens than ``max_positions``.
+    """
+    error = _too_long(model, doc)
+    if error is not None:
+        raise error
+    res = _decode_lockstep(model, [doc], config, fast, keep_logits=True)[0]
     if capture_attention:
-        from .grammar import structural_labels
-
-        trace = AttnTrace()
-        all_labels = np.array([int(p) for p in structural_labels(symbols)], dtype=np.int64)
-        all_ids = np.array(ids, dtype=np.int64)
+        res.trace = AttnTrace()
+        all_labels = np.array([int(p) for p in structural_labels(res.sequence)], dtype=np.int64)
+        all_ids = np.array(res.ids, dtype=np.int64)
         with no_grad(), rowwise_kernels():
-            model.sequence_logits(token_ids, all_ids[:-1], all_labels[:-1], trace=trace)
-    return GenerationResult(seq, graph, ids, step_logits, truncated, trace)
+            model.sequence_logits(model.word_vocab.encode(doc.tokens), all_ids[:-1],
+                                  all_labels[:-1], trace=res.trace)
+    return res
+
+
+def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig, fast: bool):
+    """Yield (index, result) for every document that fits the model, batch by batch.
+
+    Documents are grouped by token count, and each group is split into
+    batches of at most ``BATCH_CACHE_ROWS`` cache rows.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, doc in enumerate(docs):
+        if _too_long(model, doc) is None:
+            by_length.setdefault(len(doc), []).append(i)
+    for n_tokens, group in by_length.items():
+        size = max(1, BATCH_CACHE_ROWS // _length_budget(model, config, n_tokens))
+        for at in range(0, len(group), size):
+            batch = group[at:at + size]
+            yield from zip(batch, _decode_lockstep(model, [docs[i] for i in batch], config,
+                                                   fast, keep_logits=False))
+
+
+def generate_batch(model: Model, docs, config: DecodeConfig = DecodeConfig(),
+                   fast: bool = True) -> list[GenerationResult | TooLong]:
+    """``generate`` for many documents, in input order, decoded in lockstep batches.
+
+    A document with more tokens than ``max_positions`` never enters a batch;
+    its slot holds the ``TooLong`` error that names it.  Results carry no
+    ``step_logits``.
+    """
+    docs = list(docs)
+    out: list[GenerationResult | TooLong | None] = [_too_long(model, d) for d in docs]
+    for i, res in _decode_batches(model, docs, config, fast):
+        out[i] = res
+    return out
 
 
 def predict(model: Model, docs, config: DecodeConfig = DecodeConfig(),
             fast: bool = True) -> list[IEGraph]:
-    return [generate(model, doc, config, fast=fast).graph for doc in docs]
+    """Graphs of ``docs`` in input order, decoded in lockstep batches.
+
+    Lengths are checked before anything is decoded: a document with more
+    tokens than ``max_positions`` raises its ``TooLong``.  Only the graphs
+    are kept, not the whole results.
+    """
+    docs = list(docs)
+    for doc in docs:
+        error = _too_long(model, doc)
+        if error is not None:
+            raise error
+    graphs: list[IEGraph | None] = [None] * len(docs)
+    for i, res in _decode_batches(model, docs, config, fast):
+        graphs[i] = res.graph
+    return graphs

@@ -10,15 +10,17 @@ embedding is the pointing table, there is no separate softmax weight).
 The ``Tensor`` layer code (``encode`` / ``span_embeddings`` /
 ``decode_hidden``) is the only definition of the network.  Training runs it
 over whole teacher-forced prefixes; generation runs the same methods under
-``no_grad`` one row at a time, with a ``DecodeCache`` of key/value rows, via
-``DecodeRuntime``.
+``no_grad`` one row per sentence and step, with a ``DecodeCache`` of
+key/value rows, via ``DecodeRuntime``.
 
-Training packs a batch into one forward: the examples' token rows and
-decoder rows are concatenated, and the layer methods take the per-example
-row counts (``tok_lens`` / ``sym_lens``).  Positions restart at 0 in every
-example, and attention is masked block-diagonally so that no example sees
-another's rows.  With one example they build no mask, so decoding runs the
-unpacked arithmetic.
+Several examples run as one forward: their token rows and decoder rows are
+concatenated, and the layer methods take the per-example row counts
+(``tok_lens`` / ``sym_lens``).  Positions restart at 0 in every example, and
+attention stays inside an example: examples of one length run as equal
+groups of ``tensor.attention``, which computes no score across groups; mixed
+lengths (training's packed batches) are masked block-diagonally.  Decoding
+batches only sentences of one length, so every row of a lockstep batch runs
+the arithmetic of a sentence decoded alone.
 """
 
 from __future__ import annotations
@@ -125,16 +127,22 @@ class AttnTrace:
 
 @dataclass
 class DecodeCache:
-    """Per-layer keys/values that let ``decode_hidden`` extend a prefix in place.
+    """Per-layer keys/values that let ``decode_hidden`` extend G prefixes in place.
 
-    ``cross`` is computed once per sentence; ``keys``/``values`` hold
-    ``max_positions`` self-attention rows, the first ``length`` filled.
+    ``cross`` holds each layer's cross-attention keys and values over the G
+    sentences' encoder rows, computed once, G equal segments of rows;
+    ``keys``/``values`` are (G, rows, D) self-attention rows, the first
+    ``length`` of each prefix filled.
     """
 
     cross: list[tuple[Tensor, Tensor]]
     keys: list[np.ndarray]
     values: list[np.ndarray]
     length: int = 0
+
+    @property
+    def groups(self) -> int:
+        return self.keys[0].shape[0]
 
 
 def _positions(lengths) -> np.ndarray:
@@ -146,15 +154,19 @@ def _positions(lengths) -> np.ndarray:
     return np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
 
 
-def _same_example(q_lens, k_lens) -> np.ndarray | None:
-    """(sum q_lens, sum k_lens) mask, True where query and key share an example.
+def _attention_groups(q_lens, k_lens) -> tuple[int, np.ndarray | None]:
+    """Group count and mask that keep packed examples' attention inside each example.
 
-    None for a single example, whose rows may all attend to each other.
+    One example: one group, no mask.  Examples with one query length and one
+    key length: one equal group each.  Otherwise one group under a
+    (sum q_lens, sum k_lens) mask, True where query and key share an example.
     """
     if q_lens is None or len(q_lens) == 1:
-        return None
+        return 1, None
+    if len(set(q_lens)) == 1 and len(set(k_lens)) == 1:
+        return len(q_lens), None
     seg = np.arange(len(q_lens))
-    return np.repeat(seg, q_lens)[:, None] == np.repeat(seg, k_lens)[None, :]
+    return 1, np.repeat(seg, q_lens)[:, None] == np.repeat(seg, k_lens)[None, :]
 
 
 def param_group(name: str) -> str:
@@ -276,10 +288,12 @@ class Model:
                 T.add(T.matmul(x, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]))
 
     def _mha(self, prefix: str, x_q: Tensor, kv: tuple[Tensor, Tensor],
-             mask: np.ndarray | None, train: bool, rng, sink: list | None) -> Tensor:
+             groups: tuple[int, np.ndarray | None], train: bool, rng,
+             sink: list | None) -> Tensor:
         p = self.params
         q = T.add(T.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-        ctx = T.attention(q, *kv, self.config.heads, mask, self.config.dropout, rng, train, sink)
+        ctx = T.attention(q, *kv, self.config.heads, groups[1], self.config.dropout, rng, train,
+                          sink, groups[0])
         out = T.add(T.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
         return T.dropout(out, self.config.dropout, rng, train)
 
@@ -306,10 +320,10 @@ class Model:
             T.embedding_lookup(p["enc.pos"], _positions(tok_lens)),
         )
         x = T.dropout(x, self.config.dropout, rng, train)
-        mask = _same_example(tok_lens, tok_lens)
+        groups = _attention_groups(tok_lens, tok_lens)
         for i in range(self.config.enc_layers):
             h = T.layer_norm(x, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
-            x = T.add(x, self._mha(f"enc.{i}.attn", h, self._kv(f"enc.{i}.attn", h), mask,
+            x = T.add(x, self._mha(f"enc.{i}.attn", h, self._kv(f"enc.{i}.attn", h), groups,
                                    train, rng, None))
             h = T.layer_norm(x, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
             x = T.add(x, self._ffn(f"enc.{i}.ffn", h, train, rng))
@@ -371,32 +385,41 @@ class Model:
                       sym_lens=None, tok_lens=None) -> Tensor:
         """Decoder states for input rows ``x``, attending causally and to ``H``.
 
-        With a cache, ``x`` continues the cached prefix: each layer writes its
-        keys/values there and attends over every filled row, cross-attention
-        reads the cache instead of ``H``, and ``length`` advances past ``x``.
-        With packed examples, ``sym_lens`` / ``tok_lens`` give each one's rows
-        of ``x`` / ``H``, and attention stays inside an example.
+        With a cache of G prefixes, ``x`` holds the same number of rows for
+        each, one prefix after the other, continuing the cached rows: each
+        layer writes its keys/values there and attends over every filled row
+        of its own prefix, cross-attention reads the cache instead of ``H``,
+        and ``length`` advances.  With packed examples, ``sym_lens`` /
+        ``tok_lens`` give each one's rows of ``x`` / ``H``, and attention
+        stays inside an example.
         """
-        start = 0 if cache is None else cache.length
-        end = start + x.shape[0]
+        if cache is None:
+            start, cross = 0, self.cross_kv(H)
+            n_seq, block = _attention_groups(sym_lens, sym_lens)
+            cross_groups = _attention_groups(sym_lens, tok_lens)
+        else:
+            start, cross = cache.length, cache.cross
+            n_seq, block = cache.groups, None
+            cross_groups = (n_seq, None)
+        end = start + x.shape[0] // n_seq
         causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]
-        block = _same_example(sym_lens, sym_lens)
         if block is not None:
             causal &= block
-        cross_mask = _same_example(sym_lens, tok_lens)
-        cross = self.cross_kv(H) if cache is None else cache.cross
         sinks = (None, None) if trace is None else (trace.self_attn, trace.cross_attn)
         p = self.params
         for i in range(self.config.dec_layers):
             h = T.layer_norm(x, p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
             kv = self._kv(f"dec.{i}.self", h)
             if cache is not None:
-                cache.keys[i][start:end] = kv[0].data
-                cache.values[i][start:end] = kv[1].data
-                kv = (Tensor(cache.keys[i][:end]), Tensor(cache.values[i][:end]))
-            x = T.add(x, self._mha(f"dec.{i}.self", h, kv, causal, train, rng, sinks[0]))
+                shape = (n_seq, end - start, -1)
+                cache.keys[i][:, start:end] = kv[0].data.reshape(shape)
+                cache.values[i][:, start:end] = kv[1].data.reshape(shape)
+                kv = (Tensor(cache.keys[i][:, :end].reshape(n_seq * end, -1)),
+                      Tensor(cache.values[i][:, :end].reshape(n_seq * end, -1)))
+            x = T.add(x, self._mha(f"dec.{i}.self", h, kv, (n_seq, causal), train, rng,
+                                   sinks[0]))
             h = T.layer_norm(x, p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
-            x = T.add(x, self._mha(f"dec.{i}.cross", h, cross[i], cross_mask, train, rng,
+            x = T.add(x, self._mha(f"dec.{i}.cross", h, cross[i], cross_groups, train, rng,
                                    sinks[1]))
             h = T.layer_norm(x, p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"])
             x = T.add(x, self._ffn(f"dec.{i}.ffn", h, train, rng))
@@ -404,12 +427,9 @@ class Model:
             cache.length = end
         return x
 
-    def next_token_logits(self, Z: Tensor, E: Tensor, E_t: Tensor | None = None) -> Tensor:
-        """Pointing scores (M, V): hidden states against the vocabulary rows.
-
-        ``E_t`` is ``transpose(E)`` when the caller already holds it.
-        """
-        return T.matmul(Z, T.transpose(E) if E_t is None else E_t)
+    def next_token_logits(self, Z: Tensor, E: Tensor) -> Tensor:
+        """Pointing scores (M, V): hidden states against the vocabulary rows."""
+        return T.matmul(Z, T.transpose(E))
 
     def sequence_logits(self, token_ids: np.ndarray, input_ids: np.ndarray,
                         input_labels: np.ndarray, train: bool = False, rng=None,
@@ -477,42 +497,75 @@ class Model:
 
 
 class DecodeRuntime:
-    """One sentence's generation state over ``Model``'s own layer code.
+    """Generation state of B same-length sentences over ``Model``'s own layer code.
 
-    ``step_logits`` feeds one symbol through ``decode_hidden`` with a cache;
-    ``prefix_logits`` feeds a whole prefix row by row into a fresh cache.
-    Both run that one-row computation under shape-stable kernels, so a
-    cached decode reproduces the recompute bit for bit.
+    ``token_ids`` is (L,) for one sentence or (B, L).  Set-up encodes the
+    B*L token rows in one pass, and ``step_logits`` feeds one symbol per
+    sentence through ``decode_hidden`` with a cache of B prefixes.
+    ``prefix_logits`` feeds whole prefixes row by row into a fresh cache.
+    Everything runs under shape-stable kernels with attention grouped per
+    sentence, so each sentence's logits do not depend on the others in its
+    batch, and a cached decode reproduces the recompute bit for bit.
     """
 
     def __init__(self, model: Model, token_ids: np.ndarray):
         self.model = model
+        batch = np.asarray(token_ids).reshape(-1, np.shape(token_ids)[-1])
+        n_seq, n_tok = batch.shape
+        tok_lens = [n_tok] * n_seq
         with T.no_grad(), T.rowwise_kernels():
-            H = model.encode(token_ids)
-            self.E = model.build_E(model.span_embeddings(H))
-            self.E_t = T.transpose(self.E)
+            H = model.encode(batch.reshape(-1), tok_lens=tok_lens)
+            spans = model.span_embeddings(H, tok_lens).data
+            # (B, V, D): each sentence's own vocabulary
+            self.E = np.stack([model.build_E(Tensor(s)).data
+                               for s in np.split(spans, n_seq)])
             self.cross = model.cross_kv(H)
 
-    def fresh_caches(self) -> DecodeCache:
+    def fresh_caches(self, rows: int | None = None) -> DecodeCache:
+        """Empty caches for ``rows`` symbols per sentence (default ``max_positions``)."""
         config = self.model.config
-        shape = (config.max_positions, config.d_model)
+        shape = (self.E.shape[0], rows or config.max_positions, config.d_model)
         layers = range(config.dec_layers)
         return DecodeCache(self.cross, [np.empty(shape, self.E.dtype) for _ in layers],
                            [np.empty(shape, self.E.dtype) for _ in layers])
 
-    def step_logits(self, sym_id: int, position: int, label: int,
+    def keep(self, rows, caches: DecodeCache | None = None) -> None:
+        """Drop every sentence but ``rows`` (indices) from the runtime and ``caches``."""
+        n_seq, d = self.E.shape[0], self.E.shape[-1]
+        self.cross = [tuple(Tensor(t.data.reshape(n_seq, -1, d)[rows].reshape(-1, d))
+                            for t in kv) for kv in self.cross]
+        self.E = self.E[rows]
+        if caches is not None:
+            caches.cross = self.cross
+            caches.keys = [k[rows] for k in caches.keys]
+            caches.values = [v[rows] for v in caches.values]
+
+    def step_logits(self, sym_ids, position: int, labels,
                     caches: DecodeCache) -> np.ndarray:
-        """Extend the cache by one input symbol; logits for the next symbol (V,)."""
+        """Extend the cache by one input symbol per sentence; next-symbol logits.
+
+        One id and label (a single sentence) give a (V,) vector; B of each
+        give (B, V), row b scored against sentence b's own vocabulary.
+        """
+        n_seq, n_vocab, d = self.E.shape
+        rows = np.arange(n_seq) * n_vocab + sym_ids
         with T.no_grad(), T.rowwise_kernels():
-            x = self.model.decoder_inputs(self.E, [sym_id], [label], start=position)
+            x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows,
+                                          np.atleast_1d(labels), start=position,
+                                          sym_lens=[1] * n_seq)
             z = self.model.decode_hidden(x, None, cache=caches)
-            return self.model.next_token_logits(z, self.E, self.E_t).data[0]
+            logits = T.matmul_np(self.E, z.data[:, :, None])[:, :, 0]
+        return logits[0] if np.ndim(sym_ids) == 0 else logits
 
     def prefix_logits(self, ids, labels) -> np.ndarray:
-        """Cache-free recompute of the whole prefix; logits after its last symbol."""
-        if len(ids) == 0:
+        """Cache-free recompute of whole prefixes; logits after their last symbol.
+
+        ``ids``/``labels`` are (t,) for one sentence or (B, t).
+        """
+        ids, labels = np.asarray(ids), np.asarray(labels)
+        if ids.shape[-1] == 0:
             raise ValueError("empty prefix")
-        caches = self.fresh_caches()
-        for pos, (sym_id, label) in enumerate(zip(ids, labels)):
-            logits = self.step_logits(sym_id, pos, label, caches)
+        caches = self.fresh_caches(ids.shape[-1])
+        for pos in range(ids.shape[-1]):
+            logits = self.step_logits(ids[..., pos], pos, labels[..., pos], caches)
         return logits

@@ -312,9 +312,21 @@ def softmax_last_dim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, bit for bit, without numpy's Python wrapper.
+
+    Like numpy, it divides the sum by the count as an intp: the quotient is
+    taken in float64 and rounded back to the array's dtype.
+    """
+    total = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype))
-    xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+    # mean and variance as ndarray.mean / ndarray.var compute them
+    centered = x.data - _mean_last(x.data)
+    inv = 1.0 / np.sqrt(_mean_last(np.square(centered)) + np.asarray(eps, dtype=x.dtype))
+    xhat = centered * inv
     out_data = gain.data * xhat + bias.data
     d = x.shape[-1]
 
@@ -323,7 +335,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accum(gain, (g * xhat).sum(axis=lead))
         _accum(bias, g.sum(axis=lead))
         gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).sum(
+        term = gx - _mean_last(gx) - xhat * (gx * xhat).sum(
             axis=-1, keepdims=True
         ) / d
         _accum(x, term * inv)
@@ -364,38 +376,50 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
               dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-              train: bool = False, sink: list | None = None) -> Tensor:
+              train: bool = False, sink: list | None = None, groups: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention of (M, D) queries over (N, D) keys/values.
 
-    Head h uses column block h (width D / heads) of q, k and v and writes the
-    same block of the output.  ``mask`` is (M, N), True where a query may
-    attend.  Train-mode dropout on the weights draws one
-    ``rng.random((heads, M, N))``; ``sink`` receives the weights before it.
+    The rows split into ``groups`` equal segments, m = M / G queries and
+    n = N / G keys each, and segment g of the queries attends only to segment
+    g of the keys and values, so no score is computed across groups.  Head h
+    uses column block h (width D / heads) of q, k and v and writes the same
+    block of the output.  ``mask`` is (m, n), shared by every group, True
+    where a query may attend.  Train-mode dropout on the weights draws one
+    ``rng.random((G, heads, m, n))``; ``sink`` receives the weights before
+    it, as (heads, M, N) for one group and (G, heads, m, n) otherwise.
     """
-    (m, d), n = q.shape, k.shape[0]
-    if k.shape != (n, d) or v.shape != (n, d) or heads < 1 or d % heads:
-        raise ShapeMismatch(f"attention shapes {q.shape}, {k.shape}, {v.shape} with {heads} heads")
-    dk = d // heads
-    qh = np.ascontiguousarray(q.data.reshape(m, heads, dk).transpose(1, 0, 2))
-    kt = np.ascontiguousarray(k.data.reshape(n, heads, dk).transpose(1, 2, 0))
-    vh = np.ascontiguousarray(v.data.reshape(n, heads, dk).transpose(1, 0, 2))
+    (rows_q, d), rows_k = q.shape, k.shape[0]
+    if (k.shape != (rows_k, d) or v.shape != (rows_k, d) or heads < 1 or d % heads
+            or groups < 1 or rows_q % groups or rows_k % groups):
+        raise ShapeMismatch(f"attention shapes {q.shape}, {k.shape}, {v.shape} with "
+                            f"{heads} heads, {groups} groups")
+    m, n, dk = rows_q // groups, rows_k // groups, d // heads
+
+    def split(x: np.ndarray, rows: int, order=(0, 2, 1, 3)) -> np.ndarray:
+        # (G*rows, D) -> (G, heads, rows, dk), or (G, heads, dk, rows) for keys
+        return np.ascontiguousarray(x.reshape(groups, rows, heads, dk).transpose(order))
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (G, heads, rows, dk) -> (G*rows, D)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    qh, kt, vh = split(q.data, m), split(k.data, n, (0, 2, 3, 1)), split(v.data, n)
     scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.dtype)
     w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
     if sink is not None:
-        sink.append(w)
+        sink.append(w[0] if groups == 1 else w)
     drop = _dropout_scale(w.shape, dropout_p, rng, w.dtype) if train and dropout_p > 0 else None
     wd = w if drop is None else w * drop
-    out_data = matmul_np(wd, vh).transpose(1, 0, 2).reshape(m, d)
+    out_data = merge(matmul_np(wd, vh))
 
     def backward(g):
-        gh = np.ascontiguousarray(g.reshape(m, heads, dk).transpose(1, 0, 2))
-        gw = matmul_np(gh, vh.transpose(0, 2, 1))
+        gh = split(g, m)
+        gw = matmul_np(gh, vh.transpose(0, 1, 3, 2))
         if drop is not None:
             gw = gw * drop
         gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, matmul_np(gs, kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(m, d))
-        _accum(k, matmul_np(gs.transpose(0, 2, 1), qh).transpose(1, 0, 2).reshape(n, d))
-        _accum(v, matmul_np(wd.transpose(0, 2, 1), gh).transpose(1, 0, 2).reshape(n, d))
+        _accum(q, merge(matmul_np(gs, kt.transpose(0, 1, 3, 2))))
+        _accum(k, merge(matmul_np(gs.transpose(0, 1, 3, 2), qh)))
+        _accum(v, merge(matmul_np(wd.transpose(0, 1, 3, 2), gh)))
 
     return _make(out_data, (q, k, v), backward)
 

@@ -46,6 +46,15 @@ class NonFiniteLoss(FloatingPointError):
         self.loss = loss
 
 
+class NonFiniteGradNorm(FloatingPointError):
+    """A step's gradient norm is NaN or infinite; no update, record or checkpoint was made."""
+
+    def __init__(self, step: int, norm: float):
+        super().__init__(f"non-finite gradient norm {norm} at step {step}")
+        self.step = step
+        self.norm = norm
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_steps: int = 1000
@@ -274,13 +283,24 @@ class AdamW:
         self.t = t
 
 
+def grad_norm(params: dict[str, T.Tensor]) -> float:
+    """L2 norm of all gradients taken together; a missing gradient counts as zero.
+
+    Each parameter's squares are summed in its own dtype, so the norm is
+    non-finite exactly when some ``g * g`` overflows there, as it would in
+    the optimizer's second moment.
+    """
+    return math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                         for p in params.values() if p.grad is not None))
+
+
 def clip_gradients(params: dict[str, T.Tensor], max_norm: float) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
+    """Scale all gradients together to a norm of at most ``max_norm``; returns the norm before.
+
+    A non-finite norm leaves the gradients as they are.
+    """
+    norm = grad_norm(params)
+    if math.isfinite(norm) and norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -310,7 +330,7 @@ def train_loop(model: Model, cfg: TrainConfig, train_examples,
     """
     if not train_examples:
         raise ValueError("no training examples")
-    from .decode import DecodeConfig, generate
+    from .decode import DecodeConfig, predict
     from .metrics import evaluate_pairs
 
     opt = optimizer or AdamW(model.params, cfg.betas, cfg.eps, cfg.weight_decay)
@@ -352,7 +372,11 @@ def train_loop(model: Model, cfg: TrainConfig, train_examples,
                 raise NonFiniteLoss(step, loss_val)
             T.backward(loss)
             if cfg.clip_norm is not None:
-                clip_gradients(model.params, cfg.clip_norm)
+                norm = clip_gradients(model.params, cfg.clip_norm)
+            else:
+                norm = grad_norm(model.params)
+            if not math.isfinite(norm):
+                raise NonFiniteGradNorm(step, norm)
             lrs = lr_at(step, cfg)
             opt.step(lrs)
 
@@ -360,6 +384,7 @@ def train_loop(model: Model, cfg: TrainConfig, train_examples,
             record = {
                 "step": step,
                 "loss": loss_val,
+                "grad_norm": norm,
                 "lr_encoder": lrs["encoder"],
                 "lr_decoder": lrs["decoder"],
                 "lr_other": lrs["other"],
@@ -370,11 +395,9 @@ def train_loop(model: Model, cfg: TrainConfig, train_examples,
                 step % cfg.eval_every == 0 or step == cfg.max_steps
             )
             if is_eval:
-                dcfg = DecodeConfig(seed=cfg.seed)
-                pairs = [
-                    (generate(model, doc, dcfg).graph, gold) for doc, gold in dev_examples
-                ]
-                report = evaluate_pairs(pairs)
+                preds = predict(model, [doc for doc, _ in dev_examples],
+                                DecodeConfig(seed=cfg.seed))
+                report = evaluate_pairs(list(zip(preds, (gold for _, gold in dev_examples))))
                 record["dev_ent_f1"] = report.ent_prf[2]
                 record["dev_rel_f1"] = report.rel_prf[2]
                 record["dev_rel_strict_f1"] = report.rel_strict_prf[2]

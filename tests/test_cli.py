@@ -114,6 +114,51 @@ class TestGenerate:
         assert "schema" in capsys.readouterr().err
 
 
+class TestTooLong:
+    """A sentence longer than max_positions fails alone; the rest are decoded."""
+
+    @pytest.fixture
+    def with_long(self, workdir, tmp_path):
+        from spangraph.data import Dataset, save_dataset
+        from spangraph.graph import Document, EntitySpan, IEGraph
+
+        test = load_dataset(workdir["test"])
+        long_doc = Document(("w",) * 600, id="too-long")
+        long_gold = IEGraph((EntitySpan(0, 0, 0),), ())
+        examples = (test.examples[0], (long_doc, long_gold)) + test.examples[1:]
+        path = str(tmp_path / "with_long.jsonl")
+        save_dataset(path, Dataset(test.schema, test.max_span_width, examples))
+        return path, test
+
+    def test_generate_reports_and_decodes_the_rest(self, workdir, with_long, tmp_path, capsys):
+        path, test = with_long
+        out = str(tmp_path / "preds.jsonl")
+        rc = main(["generate", "--checkpoint", workdir["ckpt"], "--data", path,
+                   "--out", out, "--render"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        errors = captured.err.strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ") and "'too-long'" in errors[0]
+        rendered = [line.split(":")[0] for line in captured.out.splitlines() if "<START>" in line]
+        assert rendered == [d.id for d in test.documents()]
+        assert [d.id for d in load_dataset(out).documents()] == [d.id for d in test.documents()]
+
+    def test_evaluate_scores_it_as_empty(self, workdir, with_long, capsys):
+        path, test = with_long
+        assert main(["evaluate", "--checkpoint", workdir["ckpt"], "--data", workdir["test"]]) == 0
+        clean = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
+        rc = main(["evaluate", "--checkpoint", workdir["ckpt"], "--data", path])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1 and "'too-long'" in captured.err
+        records = [json.loads(l) for l in captured.out.splitlines() if l.startswith("{")]
+        ent = {r["metric"]: r for r in records}["ent"]
+        ent_clean = {r["metric"]: r for r in clean}["ent"]
+        # no predictions for it, one more gold entity
+        assert (ent["tp"], ent["pred"], ent["gold"]) == (
+            ent_clean["tp"], ent_clean["pred"], ent_clean["gold"] + 1)
+
+
 class TestEvaluate:
     def test_pred_equals_gold_reads_100(self, workdir, tmp_path, capsys):
         report_path = str(tmp_path / "report.jsonl")

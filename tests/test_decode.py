@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from spangraph.decode import DecodeConfig, generate, nucleus_select, predict
+from spangraph import decode
+from spangraph.decode import DecodeConfig, generate, generate_batch, nucleus_select, predict
 from spangraph.graph import Document, validate_graph
 from spangraph.linearize import END, SEP, START, RelSym, SpanSym
+from spangraph.model import TooLong
 from spangraph.vocab import build_layout, symbol_to_id
 from _helpers import make_doc, make_schema, tiny_model
 
@@ -152,6 +154,16 @@ class TestBudgets:
         assert res.truncated
         assert len(res.sequence.symbols) <= 8
 
+    def test_no_room_for_a_symbol_closes_at_once(self):
+        schema = make_schema(1, 1)
+        m = tiny_model(schema, words=("a", "b"), max_span_width=1, max_positions=3)
+        for n in (1, 3):
+            docs = [Document(("a", "b"), id=str(i)) for i in range(n)]
+            assert predict(m, docs) == [generate(m, docs[0]).graph] * n
+        res = generate(m, Document(("a", "b"), id="d"))
+        assert res.truncated and res.sequence.symbols == (START, SEP, END)
+        assert res.step_logits == []
+
     def test_explicit_max_len(self, two_type_schema):
         m = tiny_model(two_type_schema, words=("a", "b", "c"))
         res = generate(m, Document(("a", "b", "c"), id="d"), DecodeConfig(max_len=3))
@@ -185,3 +197,105 @@ class TestPredict:
         assert len(graphs) == 2
         for doc, g in zip(docs, graphs):
             validate_graph(g, doc, max_width=3)
+
+
+class TestLockstep:
+    """Sentences decoded together give what each gives alone, bit for bit."""
+
+    WORDS = ("a", "b", "c", "d")
+    SCHEMA = make_schema(2, 2, allowed_pairs={(0, 1): frozenset({0}), (1, 0): frozenset({1})})
+
+    def _model(self, dtype="float64"):
+        return tiny_model(self.SCHEMA, words=self.WORDS, seed=0, dec_layers=2, dtype=dtype)
+
+    def _docs(self, lengths):
+        rng = np.random.default_rng(0)
+        return [Document(tuple(rng.choice(self.WORDS, size=n).tolist()), id=f"d{i}")
+                for i, n in enumerate(lengths)]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("cfg", [DecodeConfig(), DecodeConfig(max_len=7),
+                                     DecodeConfig(mode="nucleus", top_p=0.8, seed=5)],
+                             ids=["greedy", "max_len", "nucleus"])
+    def test_batch_matches_generate_bitwise(self, cfg, fast, dtype):
+        m = self._model(dtype)
+        docs = self._docs([3] * 8)
+        batch = decode._decode_lockstep(m, docs, cfg, fast, keep_logits=True)
+        alone = [generate(m, doc, cfg) for doc in docs]
+        # rows leave the batch at different steps
+        assert len({len(res.ids) for res in alone}) > 1
+        if cfg.max_len is not None:
+            assert any(res.truncated for res in alone)
+        for b, a in zip(batch, alone):
+            assert (b.ids, b.truncated, b.sequence) == (a.ids, a.truncated, a.sequence)
+            assert len(b.step_logits) == len(a.step_logits)
+            for x, y in zip(b.step_logits, a.step_logits):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_mixed_lengths_split_at_the_cap_keep_input_order(self, monkeypatch):
+        m = self._model("float32")
+        lengths = [3, 5, 4, 3, 5, 3, 4, 3, 3, 5, 3]
+        docs = self._docs(lengths)
+        alone = [generate(m, doc) for doc in docs]
+        # length budgets are 15, 19 and 23 symbols: two L=3 sentences per batch
+        monkeypatch.setattr(decode, "BATCH_CACHE_ROWS", 30)
+        batches = []
+        run = decode._decode_lockstep
+
+        def spy(model, batch_docs, *args, **kwargs):
+            batches.append([len(d) for d in batch_docs])
+            return run(model, batch_docs, *args, **kwargs)
+
+        monkeypatch.setattr(decode, "_decode_lockstep", spy)
+        results = generate_batch(m, docs)
+        assert sorted(batches) == [[3, 3]] * 3 + [[4]] * 2 + [[5]] * 3
+        assert [r.ids for r in results] == [a.ids for a in alone]
+        assert all(r.step_logits == [] for r in results)
+        assert predict(m, docs) == [a.graph for a in alone]
+
+    def test_caches_sized_to_the_length_budget(self, monkeypatch):
+        m = self._model()
+        sizes = []
+        fresh = decode.DecodeRuntime.fresh_caches
+
+        def spy(runtime, rows=None):
+            cache = fresh(runtime, rows)
+            sizes.append(cache.keys[0].shape)
+            return cache
+
+        monkeypatch.setattr(decode.DecodeRuntime, "fresh_caches", spy)
+        predict(m, self._docs([3, 3, 4]))
+        assert sorted(sizes) == [(1, 19, 16), (2, 15, 16)]
+
+
+class TestTooLong:
+    def _model(self, two_type_schema):
+        return tiny_model(two_type_schema, words=("a", "b", "c"), max_positions=8)
+
+    def test_predict_names_the_document_before_decoding(self, two_type_schema, monkeypatch):
+        m = self._model(two_type_schema)
+        monkeypatch.setattr(decode, "_decode_lockstep", None)  # nothing may be decoded
+        with pytest.raises(TooLong, match="'far-too-long'"):
+            predict(m, [make_doc(3, "fine"), make_doc(9, "far-too-long")])
+
+    def test_generate_names_the_document(self, two_type_schema):
+        with pytest.raises(TooLong, match="'x'.*9 tokens exceed max_positions 8"):
+            generate(self._model(two_type_schema), make_doc(9, "x"))
+
+    def test_generate_batch_fails_only_that_sentence(self, two_type_schema, monkeypatch):
+        m = self._model(two_type_schema)
+        docs = [make_doc(3, "a"), make_doc(9, "long"), make_doc(8, "b"), make_doc(3, "c")]
+        decoded = []
+        run = decode._decode_lockstep
+
+        def spy(model, batch_docs, *args, **kwargs):
+            decoded.extend(d.id for d in batch_docs)
+            return run(model, batch_docs, *args, **kwargs)
+
+        monkeypatch.setattr(decode, "_decode_lockstep", spy)
+        results = generate_batch(m, docs)
+        assert sorted(decoded) == ["a", "b", "c"]
+        assert isinstance(results[1], TooLong) and "'long'" in str(results[1])
+        for i in (0, 2, 3):
+            assert results[i].ids == generate(m, docs[i]).ids

@@ -269,6 +269,55 @@ class TestAttention:
             one = T.attention(T.Tensor(q[2:3]), T.Tensor(k), T.Tensor(v), 4, mask[2:3])
         assert (full.data[2:3] == one.data).all()
 
+    def test_grad_groups_causal(self, rng):
+        # three groups of 3 query and 3 key rows, causal inside each group
+        mask = np.tril(np.ones((3, 3), dtype=bool))
+        check_op(lambda q, k, v: T.attention(q, k, v, 2, mask, groups=3),
+                 [rng.standard_normal((9, 6)) for _ in range(3)], rng)
+
+    def test_grad_groups_cross_shape(self, rng):
+        # two groups of 1 query over 4 keys each: one decoding step of two sentences
+        check_op(lambda q, k, v: T.attention(q, k, v, 3, None, groups=2),
+                 [rng.standard_normal((2, 6)), rng.standard_normal((8, 6)),
+                  rng.standard_normal((8, 6))], rng)
+
+    def test_grad_groups_dropout(self, rng):
+        def op(q, k, v):
+            return T.attention(q, k, v, 2, None, 0.4, np.random.default_rng(7), train=True,
+                               groups=2)
+        check_op(op, [rng.standard_normal((4, 6)), rng.standard_normal((6, 6)),
+                      rng.standard_normal((6, 6))], rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_groups_equal_separate_calls_bitwise(self, rng, dtype):
+        G, m, n = 4, 2, 5
+        q, k, v = (rng.standard_normal((G * r, 16)).astype(dtype) for r in (m, n, n))
+        mask = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
+        g_out = rng.standard_normal((G * m, 16)).astype(dtype)
+        with T.rowwise_kernels():
+            tq, tk, tv = (T.Tensor(a, requires_grad=True) for a in (q, k, v))
+            sink = []
+            out = T.attention(tq, tk, tv, 4, mask, sink=sink, groups=G)
+            T.backward(T.sum_all(T.mul(out, T.Tensor(g_out))))
+            assert sink[0].shape == (G, 4, m, n)
+            for g in range(G):
+                rq, rk = slice(g * m, (g + 1) * m), slice(g * n, (g + 1) * n)
+                sq, sk, sv = (T.Tensor(a[r], requires_grad=True)
+                              for a, r in ((q, rq), (k, rk), (v, rk)))
+                one_sink = []
+                one = T.attention(sq, sk, sv, 4, mask, sink=one_sink)
+                T.backward(T.sum_all(T.mul(one, T.Tensor(g_out[rq]))))
+                assert (out.data[rq] == one.data).all()
+                assert (sink[0][g] == one_sink[0]).all()
+                assert (tq.grad[rq] == sq.grad).all()
+                assert (tk.grad[rk] == sk.grad).all()
+                assert (tv.grad[rk] == sv.grad).all()
+
+    def test_groups_must_divide_rows(self, rng):
+        q, k = T.Tensor(rng.standard_normal((3, 4))), T.Tensor(rng.standard_normal((4, 4)))
+        with pytest.raises(T.ShapeMismatch):
+            T.attention(q, k, k, 2, None, groups=2)
+
 
 class TestDropoutSemantics:
     def test_eval_mode_identity(self, rng):

@@ -13,6 +13,7 @@ from spangraph.model import Model, ModelConfig, WordVocab
 from spangraph.train import (
     AdamW,
     GoldIllegalUnderMask,
+    NonFiniteGradNorm,
     NonFiniteLoss,
     TrainConfig,
     augment,
@@ -20,6 +21,7 @@ from spangraph.train import (
     clip_gradients,
     encode_example,
     example_loss,
+    grad_norm,
     lr_at,
     train_loop,
 )
@@ -324,6 +326,23 @@ class TestClipGradients:
 
 
 
+class TestGradNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_float64_reference(self, rng, dtype):
+        params = {n: T.Tensor(np.zeros(s, dtype), requires_grad=True)
+                  for n, s in (("a", (3, 5)), ("b", (7,)), ("c", (2, 2)))}
+        for n in ("a", "b"):
+            params[n].grad = rng.standard_normal(params[n].shape).astype(dtype)
+        want = np.sqrt(sum((p.grad.astype(np.float64) ** 2).sum()
+                           for p in params.values() if p.grad is not None))
+        assert grad_norm(params) == pytest.approx(want, rel=1e-6)
+
+    def test_overflow_in_parameter_dtype_is_infinite(self):
+        params = {"a": T.Tensor(np.zeros(2, np.float32), requires_grad=True)}
+        params["a"].grad = np.array([1e20, 0.0], np.float32)
+        assert grad_norm(params) == np.inf
+
+
 class TestTrainingDynamics:
     def test_loss_decreases_monotonically_over_first_50_steps(self, toy_corpus):
         # fixed 5-sentence set, full-set objective after every update
@@ -394,6 +413,47 @@ class TestTrainingDynamics:
         assert all(p.grad is None for p in model.params.values())
         for n, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[n])
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_non_finite_grad_norm_stops_before_any_update_or_write(self, toy_corpus, tmp_path,
+                                                                   monkeypatch, clip_norm):
+        examples = list(toy_corpus.examples)[:5]
+        model = _corpus_model(toy_corpus)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        backward = T.backward
+
+        def overflowing_backward(loss):
+            backward(loss)
+            model.params["dec.0.ffn.w1"].grad[0, 0] = np.inf
+
+        monkeypatch.setattr(T, "backward", overflowing_backward)
+        cfg = TrainConfig(max_steps=3, batch_size=2, seed=0, eval_every=1, clip_norm=clip_norm)
+        with pytest.raises(NonFiniteGradNorm) as err:
+            train_loop(model, cfg, examples, dev_examples=examples[:2], out_dir=str(tmp_path))
+        assert err.value.step == 1 and not np.isfinite(err.value.norm)
+        assert isinstance(err.value, FloatingPointError)
+        assert not (tmp_path / "best.npz").exists()
+        assert not (tmp_path / "last.npz").exists()
+        assert (tmp_path / "metrics.jsonl").read_text() == ""
+        for n, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[n])
+
+    def test_step_records_carry_the_grad_norm(self, toy_corpus, tmp_path, monkeypatch):
+        examples = list(toy_corpus.examples)[:5]
+        model = _corpus_model(toy_corpus)
+        seen = []
+        backward = T.backward
+
+        def recording_backward(loss):
+            backward(loss)
+            seen.append(np.sqrt(sum((p.grad ** 2).sum() for p in model.params.values()
+                                    if p.grad is not None)))
+
+        monkeypatch.setattr(T, "backward", recording_backward)
+        res = train_loop(model, TrainConfig(max_steps=3, batch_size=2, seed=0), examples,
+                         out_dir=str(tmp_path))
+        records = [json.loads(l) for l in open(res.metrics_path)]
+        assert [r["grad_norm"] for r in records] == pytest.approx(seen, rel=1e-9)
 
     def test_empty_train_set_rejected(self, toy_corpus):
         with pytest.raises(ValueError):
