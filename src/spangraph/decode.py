@@ -27,9 +27,10 @@ from .tensor import masked_softmax_np, no_grad, rowwise_kernels
 from .vocab import build_layout, id_to_symbol, symbol_to_id
 
 # A lockstep batch holds at most this many self-attention cache rows per
-# layer (sentences x length budget): about 1 MB of keys and values at
-# d_model 64 with two decoder layers.
-BATCH_CACHE_ROWS = 1024
+# layer (sentences x length budget): 512 KB of keys and values at d_model 64
+# with two float32 decoder layers.  Larger caps decode short sentences
+# faster but raise peak memory; CHANGES.md has the measurements.
+BATCH_CACHE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -201,15 +202,16 @@ def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig, fa
         if _too_long(model, doc) is None:
             by_length.setdefault(len(doc), []).append(i)
     for n_tokens, group in by_length.items():
-        size = max(1, BATCH_CACHE_ROWS // _length_budget(model, config, n_tokens))
+        budget = _length_budget(model, config, n_tokens)
+        size = max(1, BATCH_CACHE_ROWS // max(1, budget))
         for at in range(0, len(group), size):
             batch = group[at:at + size]
             yield from zip(batch, _decode_lockstep(model, [docs[i] for i in batch], config,
                                                    fast, keep_logits=False))
 
 
-def generate_batch(model: Model, docs, config: DecodeConfig = DecodeConfig(),
-                   fast: bool = True) -> list[GenerationResult | TooLong]:
+def generate_batch(model: Model, docs,
+                   config: DecodeConfig = DecodeConfig()) -> list[GenerationResult | TooLong]:
     """``generate`` for many documents, in input order, decoded in lockstep batches.
 
     A document with more tokens than ``max_positions`` never enters a batch;
@@ -218,7 +220,7 @@ def generate_batch(model: Model, docs, config: DecodeConfig = DecodeConfig(),
     """
     docs = list(docs)
     out: list[GenerationResult | TooLong | None] = [_too_long(model, d) for d in docs]
-    for i, res in _decode_batches(model, docs, config, fast):
+    for i, res in _decode_batches(model, docs, config, fast=True):
         out[i] = res
     return out
 

@@ -499,9 +499,9 @@ class Model:
 class DecodeRuntime:
     """Generation state of B same-length sentences over ``Model``'s own layer code.
 
-    ``token_ids`` is (L,) for one sentence or (B, L).  Set-up encodes the
-    B*L token rows in one pass, and ``step_logits`` feeds one symbol per
-    sentence through ``decode_hidden`` with a cache of B prefixes.
+    ``token_ids`` is (B, L).  Set-up encodes the B*L token rows in one pass,
+    and ``step_logits`` feeds one symbol per sentence through
+    ``decode_hidden`` with a cache of B prefixes.
     ``prefix_logits`` feeds whole prefixes row by row into a fresh cache.
     Everything runs under shape-stable kernels with attention grouped per
     sentence, so each sentence's logits do not depend on the others in its
@@ -510,21 +510,20 @@ class DecodeRuntime:
 
     def __init__(self, model: Model, token_ids: np.ndarray):
         self.model = model
-        batch = np.asarray(token_ids).reshape(-1, np.shape(token_ids)[-1])
-        n_seq, n_tok = batch.shape
+        n_seq, n_tok = token_ids.shape
         tok_lens = [n_tok] * n_seq
         with T.no_grad(), T.rowwise_kernels():
-            H = model.encode(batch.reshape(-1), tok_lens=tok_lens)
+            H = model.encode(token_ids.reshape(-1), tok_lens=tok_lens)
             spans = model.span_embeddings(H, tok_lens).data
             # (B, V, D): each sentence's own vocabulary
             self.E = np.stack([model.build_E(Tensor(s)).data
                                for s in np.split(spans, n_seq)])
             self.cross = model.cross_kv(H)
 
-    def fresh_caches(self, rows: int | None = None) -> DecodeCache:
-        """Empty caches for ``rows`` symbols per sentence (default ``max_positions``)."""
+    def fresh_caches(self, rows: int) -> DecodeCache:
+        """Empty caches for ``rows`` symbols per sentence."""
         config = self.model.config
-        shape = (self.E.shape[0], rows or config.max_positions, config.d_model)
+        shape = (self.E.shape[0], rows, config.d_model)
         layers = range(config.dec_layers)
         return DecodeCache(self.cross, [np.empty(shape, self.E.dtype) for _ in layers],
                            [np.empty(shape, self.E.dtype) for _ in layers])
@@ -544,28 +543,26 @@ class DecodeRuntime:
                     caches: DecodeCache) -> np.ndarray:
         """Extend the cache by one input symbol per sentence; next-symbol logits.
 
-        One id and label (a single sentence) give a (V,) vector; B of each
-        give (B, V), row b scored against sentence b's own vocabulary.
+        ``sym_ids`` and ``labels`` hold one entry per sentence; the (B, V)
+        logits score row b against sentence b's own vocabulary.
         """
         n_seq, n_vocab, d = self.E.shape
         rows = np.arange(n_seq) * n_vocab + sym_ids
         with T.no_grad(), T.rowwise_kernels():
-            x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows,
-                                          np.atleast_1d(labels), start=position,
-                                          sym_lens=[1] * n_seq)
+            x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows, labels,
+                                          start=position, sym_lens=[1] * n_seq)
             z = self.model.decode_hidden(x, None, cache=caches)
-            logits = T.matmul_np(self.E, z.data[:, :, None])[:, :, 0]
-        return logits[0] if np.ndim(sym_ids) == 0 else logits
+            return T.matmul_np(self.E, z.data[:, :, None])[:, :, 0]
 
     def prefix_logits(self, ids, labels) -> np.ndarray:
         """Cache-free recompute of whole prefixes; logits after their last symbol.
 
-        ``ids``/``labels`` are (t,) for one sentence or (B, t).
+        ``ids``/``labels`` are (B, t); the logits are (B, V).
         """
         ids, labels = np.asarray(ids), np.asarray(labels)
-        if ids.shape[-1] == 0:
+        if ids.shape[1] == 0:
             raise ValueError("empty prefix")
-        caches = self.fresh_caches(ids.shape[-1])
-        for pos in range(ids.shape[-1]):
-            logits = self.step_logits(ids[..., pos], pos, labels[..., pos], caches)
+        caches = self.fresh_caches(ids.shape[1])
+        for pos in range(ids.shape[1]):
+            logits = self.step_logits(ids[:, pos], pos, labels[:, pos], caches)
         return logits

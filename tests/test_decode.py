@@ -156,13 +156,16 @@ class TestBudgets:
 
     def test_no_room_for_a_symbol_closes_at_once(self):
         schema = make_schema(1, 1)
-        m = tiny_model(schema, words=("a", "b"), max_span_width=1, max_positions=3)
-        for n in (1, 3):
-            docs = [Document(("a", "b"), id=str(i)) for i in range(n)]
-            assert predict(m, docs) == [generate(m, docs[0]).graph] * n
-        res = generate(m, Document(("a", "b"), id="d"))
-        assert res.truncated and res.sequence.symbols == (START, SEP, END)
-        assert res.step_logits == []
+        for max_positions in (2, 3):
+            m = tiny_model(schema, words=("a", "b"), max_span_width=1,
+                           max_positions=max_positions)
+            for n in (1, 3):
+                docs = [Document(("a", "b"), id=str(i)) for i in range(n)]
+                assert predict(m, docs) == [generate(m, docs[0]).graph] * n
+                assert [r.graph for r in generate_batch(m, docs)] == predict(m, docs)
+            res = generate(m, Document(("a", "b"), id="d"))
+            assert res.truncated and res.sequence.symbols == (START, SEP, END)
+            assert res.step_logits == []
 
     def test_explicit_max_len(self, two_type_schema):
         m = tiny_model(two_type_schema, words=("a", "b", "c"))
@@ -259,7 +262,7 @@ class TestLockstep:
         sizes = []
         fresh = decode.DecodeRuntime.fresh_caches
 
-        def spy(runtime, rows=None):
+        def spy(runtime, rows):
             cache = fresh(runtime, rows)
             sizes.append(cache.keys[0].shape)
             return cache

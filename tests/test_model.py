@@ -293,7 +293,7 @@ class TestDecodeHidden:
         token_ids = np.array([1, 2, 3])
         ids = np.array([20, 5, 9, 13, 2])
         labels = np.array([0, 0, 0, 1, 1])
-        cache = DecodeRuntime(m, token_ids).fresh_caches()
+        cache = DecodeRuntime(m, token_ids[None]).fresh_caches(len(ids))
         with T.no_grad():
             H = m.encode(token_ids)
             E = m.build_E(m.span_embeddings(H))
@@ -310,11 +310,11 @@ class TestIncrementalDecoding:
     def test_prefix_logits_match_teacher_forced_last_row(self, two_type_schema):
         m = tiny_model(two_type_schema, dec_layers=2)
         token_ids = np.array([1, 2, 3])
-        rt = DecodeRuntime(m, token_ids)
+        rt = DecodeRuntime(m, token_ids[None])
         layout = build_layout(3, two_type_schema, 3)
         ids = np.array([layout.start_id, 0, 2])
         labels = np.array([0, 0, 0])
-        slow = rt.prefix_logits(ids, labels)
+        slow = rt.prefix_logits(ids[None], labels[None])[0]
         full = m.sequence_logits(token_ids, ids, labels)
         np.testing.assert_allclose(slow, full.data[-1], rtol=1e-9, atol=1e-10)
 
@@ -322,13 +322,13 @@ class TestIncrementalDecoding:
         m = tiny_model(two_type_schema, dec_layers=2)
         token_ids = np.array([1, 2, 3])
         layout = build_layout(3, two_type_schema, 3)
-        rt = DecodeRuntime(m, token_ids)
-        ids = [layout.start_id, 0, 5, layout.sep_id]
-        labels = [0, 0, 0, 0]
-        caches = rt.fresh_caches()
-        for i in range(len(ids)):
-            inc = rt.step_logits(ids[i], i, labels[i], caches)
-            slow = rt.prefix_logits(np.array(ids[: i + 1]), np.array(labels[: i + 1]))
+        rt = DecodeRuntime(m, token_ids[None])
+        ids = np.array([[layout.start_id, 0, 5, layout.sep_id]])
+        labels = np.zeros_like(ids)
+        caches = rt.fresh_caches(ids.shape[1])
+        for i in range(ids.shape[1]):
+            inc = rt.step_logits(ids[:, i], i, labels[:, i], caches)
+            slow = rt.prefix_logits(ids[:, : i + 1], labels[:, : i + 1])
             np.testing.assert_array_equal(inc, slow)
 
 

@@ -178,13 +178,22 @@ class TestExampleLoss:
         want = float(np.log(masks.sum(axis=1)).mean())
         assert loss.item() == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 8])
-    def test_packed_batch_matches_per_example_losses(self, toy_corpus, batch_size):
+    @pytest.mark.parametrize("batch_size, equal_lengths",
+                             [(1, False), (2, False), (8, False), (3, True)],
+                             ids=["1", "2", "8", "equal_lengths"])
+    def test_packed_batch_matches_per_example_losses(self, toy_corpus, batch_size,
+                                                      equal_lengths):
         # oracle: one graph per example, their mean NLLs averaged on the tape
         model = _corpus_model(toy_corpus)
-        data_rng = np.random.default_rng(batch_size)
-        batch = [encode_example(model, *augment(list(toy_corpus.examples), data_rng, 3))
-                 for _ in range(batch_size)]
+        if equal_lengths:
+            # one token count and one symbol count: attention runs grouped, unmasked
+            batch = [encode_example(model, *toy_corpus.examples[i]) for i in (1, 2, 6)]
+            assert len({(len(ex[0]), len(ex[1])) for ex in batch}) == 1
+            assert len({tuple(ex[0]) for ex in batch}) == batch_size
+        else:
+            data_rng = np.random.default_rng(batch_size)
+            batch = [encode_example(model, *augment(list(toy_corpus.examples), data_rng, 3))
+                     for _ in range(batch_size)]
         loss = batch_loss(model, batch)
         T.backward(loss)
         packed = {n: p.grad.copy() for n, p in model.params.items()}
