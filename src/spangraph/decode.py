@@ -96,7 +96,7 @@ def _close_sequence(symbols: list[Symbol]) -> list[Symbol]:
 
 def _length_budget(model: Model, config: DecodeConfig, n_tokens: int) -> int:
     max_len = config.max_len if config.max_len is not None else 3 + 4 * n_tokens
-    return min(max_len, model.config.max_positions - 2)
+    return max(0, min(max_len, model.config.max_positions - 2))
 
 
 def _too_long(model: Model, doc: Document) -> TooLong | None:
@@ -118,23 +118,21 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
     n_tokens = len(docs[0])
     layout = build_layout(n_tokens, model.schema, model.config.max_span_width)
     max_len = _length_budget(model, config, n_tokens)
-    runtime = DecodeRuntime(model, np.stack([model.word_vocab.encode(d.tokens) for d in docs]))
+    runtime = DecodeRuntime(model, np.stack([model.word_vocab.encode(d.tokens) for d in docs]),
+                            max_len)
     live = list(range(len(docs))) if max_len > 1 else []  # in runtime row order
-    caches = runtime.fresh_caches(max_len) if fast and live else None
 
     states = [initial_state() for _ in docs]
     symbols: list[list[Symbol]] = [[START] for _ in docs]
     ids = [[layout.start_id] for _ in docs]
     labels = [[int(Phase.NODE)] for _ in docs]
     step_logits: list[list[np.ndarray]] = [[] for _ in docs]
-    position = 0  # of the symbols fed this step; every live sentence is at the same one
     while live:
         if fast:
-            logits = runtime.step_logits(np.array([ids[b][-1] for b in live]), position,
-                                         np.array([labels[b][-1] for b in live]), caches)
+            logits = runtime.step_logits(np.array([ids[b][-1] for b in live]),
+                                         np.array([labels[b][-1] for b in live]))
         else:
             logits = runtime.prefix_logits([ids[b] for b in live], [labels[b] for b in live])
-        position += 1
         masks = np.stack([legal_mask(states[b], layout, model.schema) for b in live])
         if config.mode == "greedy":
             picks = np.argmax(np.where(masks, logits, -np.inf), axis=1).tolist()
@@ -154,8 +152,7 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
                 if not states[b].finished and len(symbols[b]) < max_len]
         if len(keep) < len(live):
             live = [live[r] for r in keep]
-            if live:
-                runtime.keep(keep, caches)
+            runtime.keep(keep)
 
     results = []
     for b in range(len(docs)):
@@ -191,7 +188,7 @@ def generate(model: Model, doc: Document, config: DecodeConfig = DecodeConfig(),
     return res
 
 
-def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig, fast: bool):
+def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig):
     """Yield (index, result) for every document that fits the model, batch by batch.
 
     Documents are grouped by token count, and each group is split into
@@ -207,7 +204,7 @@ def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig, fa
         for at in range(0, len(group), size):
             batch = group[at:at + size]
             yield from zip(batch, _decode_lockstep(model, [docs[i] for i in batch], config,
-                                                   fast, keep_logits=False))
+                                                   fast=True, keep_logits=False))
 
 
 def generate_batch(model: Model, docs,
@@ -220,13 +217,12 @@ def generate_batch(model: Model, docs,
     """
     docs = list(docs)
     out: list[GenerationResult | TooLong | None] = [_too_long(model, d) for d in docs]
-    for i, res in _decode_batches(model, docs, config, fast=True):
+    for i, res in _decode_batches(model, docs, config):
         out[i] = res
     return out
 
 
-def predict(model: Model, docs, config: DecodeConfig = DecodeConfig(),
-            fast: bool = True) -> list[IEGraph]:
+def predict(model: Model, docs, config: DecodeConfig = DecodeConfig()) -> list[IEGraph]:
     """Graphs of ``docs`` in input order, decoded in lockstep batches.
 
     Lengths are checked before anything is decoded: a document with more
@@ -239,6 +235,6 @@ def predict(model: Model, docs, config: DecodeConfig = DecodeConfig(),
         if error is not None:
             raise error
     graphs: list[IEGraph | None] = [None] * len(docs)
-    for i, res in _decode_batches(model, docs, config, fast):
+    for i, res in _decode_batches(model, docs, config):
         graphs[i] = res.graph
     return graphs

@@ -67,8 +67,12 @@ class ModelConfig:
     use_structure: bool = True
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"heads must be at least 1, got {self.heads}")
         if self.d_model <= 0 or self.d_model % self.heads:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.max_positions < 1:
+            raise ValueError(f"max_positions must be at least 1, got {self.max_positions}")
         if self.enc_layers < 0 or self.dec_layers < 1:
             raise ValueError("need enc_layers >= 0 and dec_layers >= 1")
         if self.max_span_width < 1:
@@ -499,16 +503,18 @@ class Model:
 class DecodeRuntime:
     """Generation state of B same-length sentences over ``Model``'s own layer code.
 
-    ``token_ids`` is (B, L).  Set-up encodes the B*L token rows in one pass,
-    and ``step_logits`` feeds one symbol per sentence through
-    ``decode_hidden`` with a cache of B prefixes.
-    ``prefix_logits`` feeds whole prefixes row by row into a fresh cache.
+    ``token_ids`` is (B, L).  Set-up encodes the B*L token rows in one pass
+    and allocates ``cache``, a ``DecodeCache`` for ``rows`` symbols per
+    sentence that holds the cross-attention keys and values.  ``step_logits``
+    feeds one symbol per sentence through ``decode_hidden`` at position
+    ``cache.length``, and ``keep`` drops sentences from E and the cache
+    together.  ``prefix_logits`` replays whole prefixes into a fresh cache.
     Everything runs under shape-stable kernels with attention grouped per
     sentence, so each sentence's logits do not depend on the others in its
     batch, and a cached decode reproduces the recompute bit for bit.
     """
 
-    def __init__(self, model: Model, token_ids: np.ndarray):
+    def __init__(self, model: Model, token_ids: np.ndarray, rows: int):
         self.model = model
         n_seq, n_tok = token_ids.shape
         tok_lens = [n_tok] * n_seq
@@ -518,29 +524,24 @@ class DecodeRuntime:
             # (B, V, D): each sentence's own vocabulary
             self.E = np.stack([model.build_E(Tensor(s)).data
                                for s in np.split(spans, n_seq)])
-            self.cross = model.cross_kv(H)
+            self._fresh_cache(model.cross_kv(H), rows)
 
-    def fresh_caches(self, rows: int) -> DecodeCache:
-        """Empty caches for ``rows`` symbols per sentence."""
-        config = self.model.config
-        shape = (self.E.shape[0], rows, config.d_model)
-        layers = range(config.dec_layers)
-        return DecodeCache(self.cross, [np.empty(shape, self.E.dtype) for _ in layers],
-                           [np.empty(shape, self.E.dtype) for _ in layers])
+    def _fresh_cache(self, cross: list[tuple[Tensor, Tensor]], rows: int) -> None:
+        shape = (self.E.shape[0], rows, self.model.config.d_model)
+        self.cache = DecodeCache(cross, [np.empty(shape, self.E.dtype) for _ in cross],
+                                 [np.empty(shape, self.E.dtype) for _ in cross])
 
-    def keep(self, rows, caches: DecodeCache | None = None) -> None:
-        """Drop every sentence but ``rows`` (indices) from the runtime and ``caches``."""
+    def keep(self, rows) -> None:
+        """Drop every sentence but ``rows`` (indices) from E and the cache."""
+        cache = self.cache
         n_seq, d = self.E.shape[0], self.E.shape[-1]
-        self.cross = [tuple(Tensor(t.data.reshape(n_seq, -1, d)[rows].reshape(-1, d))
-                            for t in kv) for kv in self.cross]
+        cache.cross = [tuple(Tensor(t.data.reshape(n_seq, -1, d)[rows].reshape(-1, d))
+                             for t in kv) for kv in cache.cross]
+        cache.keys = [k[rows] for k in cache.keys]
+        cache.values = [v[rows] for v in cache.values]
         self.E = self.E[rows]
-        if caches is not None:
-            caches.cross = self.cross
-            caches.keys = [k[rows] for k in caches.keys]
-            caches.values = [v[rows] for v in caches.values]
 
-    def step_logits(self, sym_ids, position: int, labels,
-                    caches: DecodeCache) -> np.ndarray:
+    def step_logits(self, sym_ids, labels) -> np.ndarray:
         """Extend the cache by one input symbol per sentence; next-symbol logits.
 
         ``sym_ids`` and ``labels`` hold one entry per sentence; the (B, V)
@@ -550,19 +551,20 @@ class DecodeRuntime:
         rows = np.arange(n_seq) * n_vocab + sym_ids
         with T.no_grad(), T.rowwise_kernels():
             x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows, labels,
-                                          start=position, sym_lens=[1] * n_seq)
-            z = self.model.decode_hidden(x, None, cache=caches)
+                                          start=self.cache.length, sym_lens=[1] * n_seq)
+            z = self.model.decode_hidden(x, None, cache=self.cache)
             return T.matmul_np(self.E, z.data[:, :, None])[:, :, 0]
 
     def prefix_logits(self, ids, labels) -> np.ndarray:
-        """Cache-free recompute of whole prefixes; logits after their last symbol.
+        """Recompute whole prefixes into a fresh cache; logits after their last symbol.
 
-        ``ids``/``labels`` are (B, t); the logits are (B, V).
+        ``ids``/``labels`` are (B, t); the logits are (B, V).  The fresh cache
+        replaces the runtime's.
         """
         ids, labels = np.asarray(ids), np.asarray(labels)
         if ids.shape[1] == 0:
             raise ValueError("empty prefix")
-        caches = self.fresh_caches(ids.shape[1])
+        self._fresh_cache(self.cache.cross, ids.shape[1])
         for pos in range(ids.shape[1]):
-            logits = self.step_logits(ids[:, pos], pos, labels[:, pos], caches)
+            logits = self.step_logits(ids[:, pos], labels[:, pos])
         return logits

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,24 +77,15 @@ class TrainConfig:
             raise ValueError("max_steps, batch_size and max_sentences must be positive")
         if not 0.0 < self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie strictly between 0 and 1")
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
 
     def to_meta(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "batch_size": self.batch_size,
-            "max_sentences": self.max_sentences,
-            "ordering": self.ordering.name,
-            "seed": self.seed,
-            "lr_encoder": self.lr_encoder,
-            "lr_decoder": self.lr_decoder,
-            "lr_other": self.lr_other,
-            "warmup_frac": self.warmup_frac,
-            "weight_decay": self.weight_decay,
-            "betas": list(self.betas),
-            "eps": self.eps,
-            "clip_norm": self.clip_norm,
-            "eval_every": self.eval_every,
-        }
+        """Every field, JSON-ready: ``ordering`` by name, ``betas`` as a list."""
+        meta = asdict(self)
+        meta["ordering"] = self.ordering.name
+        meta["betas"] = list(self.betas)
+        return meta
 
     @classmethod
     def from_meta(cls, meta: dict) -> "TrainConfig":

@@ -87,6 +87,14 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_heads_exits_one(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--train", workdir["train"], "--out-dir", str(tmp_path),
+                   "--steps", "1", "--heads", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            "error: heads must be at least 1, got 0"]
+
 
 class TestGenerate:
     def test_render_and_out(self, workdir, tmp_path, capsys):

@@ -156,14 +156,15 @@ class TestBudgets:
 
     def test_no_room_for_a_symbol_closes_at_once(self):
         schema = make_schema(1, 1)
-        for max_positions in (2, 3):
+        for max_positions in (1, 2, 3):
             m = tiny_model(schema, words=("a", "b"), max_span_width=1,
                            max_positions=max_positions)
+            tokens = ("a", "b")[:max_positions]
             for n in (1, 3):
-                docs = [Document(("a", "b"), id=str(i)) for i in range(n)]
+                docs = [Document(tokens, id=str(i)) for i in range(n)]
                 assert predict(m, docs) == [generate(m, docs[0]).graph] * n
                 assert [r.graph for r in generate_batch(m, docs)] == predict(m, docs)
-            res = generate(m, Document(("a", "b"), id="d"))
+            res = generate(m, Document(tokens, id="d"))
             assert res.truncated and res.sequence.symbols == (START, SEP, END)
             assert res.step_logits == []
 
@@ -260,14 +261,13 @@ class TestLockstep:
     def test_caches_sized_to_the_length_budget(self, monkeypatch):
         m = self._model()
         sizes = []
-        fresh = decode.DecodeRuntime.fresh_caches
+        init = decode.DecodeRuntime.__init__
 
-        def spy(runtime, rows):
-            cache = fresh(runtime, rows)
-            sizes.append(cache.keys[0].shape)
-            return cache
+        def spy(runtime, *args):
+            init(runtime, *args)
+            sizes.append(runtime.cache.keys[0].shape)
 
-        monkeypatch.setattr(decode.DecodeRuntime, "fresh_caches", spy)
+        monkeypatch.setattr(decode.DecodeRuntime, "__init__", spy)
         predict(m, self._docs([3, 3, 4]))
         assert sorted(sizes) == [(1, 19, 16), (2, 15, 16)]
 

@@ -30,6 +30,17 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(d_model=10, heads=4)
 
+    def test_heads_must_be_positive(self):
+        for heads in (0, -4):
+            with pytest.raises(ValueError, match="heads"):
+                ModelConfig(heads=heads)
+
+    def test_max_positions_must_be_positive(self):
+        for max_positions in (0, -1):
+            with pytest.raises(ValueError, match="max_positions"):
+                ModelConfig(max_positions=max_positions)
+        assert ModelConfig(max_positions=1).max_positions == 1
+
     def test_dropout_range(self):
         with pytest.raises(ValueError):
             ModelConfig(dropout=1.5)
@@ -293,7 +304,7 @@ class TestDecodeHidden:
         token_ids = np.array([1, 2, 3])
         ids = np.array([20, 5, 9, 13, 2])
         labels = np.array([0, 0, 0, 1, 1])
-        cache = DecodeRuntime(m, token_ids[None]).fresh_caches(len(ids))
+        cache = DecodeRuntime(m, token_ids[None], len(ids)).cache
         with T.no_grad():
             H = m.encode(token_ids)
             E = m.build_E(m.span_embeddings(H))
@@ -310,10 +321,10 @@ class TestIncrementalDecoding:
     def test_prefix_logits_match_teacher_forced_last_row(self, two_type_schema):
         m = tiny_model(two_type_schema, dec_layers=2)
         token_ids = np.array([1, 2, 3])
-        rt = DecodeRuntime(m, token_ids[None])
         layout = build_layout(3, two_type_schema, 3)
         ids = np.array([layout.start_id, 0, 2])
         labels = np.array([0, 0, 0])
+        rt = DecodeRuntime(m, token_ids[None], len(ids))
         slow = rt.prefix_logits(ids[None], labels[None])[0]
         full = m.sequence_logits(token_ids, ids, labels)
         np.testing.assert_allclose(slow, full.data[-1], rtol=1e-9, atol=1e-10)
@@ -322,14 +333,37 @@ class TestIncrementalDecoding:
         m = tiny_model(two_type_schema, dec_layers=2)
         token_ids = np.array([1, 2, 3])
         layout = build_layout(3, two_type_schema, 3)
-        rt = DecodeRuntime(m, token_ids[None])
         ids = np.array([[layout.start_id, 0, 5, layout.sep_id]])
         labels = np.zeros_like(ids)
-        caches = rt.fresh_caches(ids.shape[1])
+        # prefix_logits replaces its runtime's cache, so the recompute gets its own
+        rt = DecodeRuntime(m, token_ids[None], ids.shape[1])
+        ref = DecodeRuntime(m, token_ids[None], ids.shape[1])
         for i in range(ids.shape[1]):
-            inc = rt.step_logits(ids[:, i], i, labels[:, i], caches)
-            slow = rt.prefix_logits(ids[:, : i + 1], labels[:, : i + 1])
+            inc = rt.step_logits(ids[:, i], labels[:, i])
+            slow = ref.prefix_logits(ids[:, : i + 1], labels[:, : i + 1])
             np.testing.assert_array_equal(inc, slow)
+
+    def test_keep_matches_a_runtime_of_the_kept_sentences(self, two_type_schema):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        layout = build_layout(3, two_type_schema, 3)
+        token_ids = np.array([[1, 2, 3], [3, 1, 1], [2, 2, 3], [1, 3, 2]])
+        ids = np.array([[layout.start_id] * 4, [0, 5, 2, 7], [layout.sep_id, 1, 5, 0]])
+        labels = np.zeros_like(ids)
+        kept = [1, 3]
+        rt = DecodeRuntime(m, token_ids, 5)
+        for i in range(2):
+            rt.step_logits(ids[i], labels[i])
+        rt.keep(kept)
+        ref = DecodeRuntime(m, token_ids[kept], 5)
+        for i in range(2):
+            ref.step_logits(ids[i, kept], labels[i, kept])
+        np.testing.assert_array_equal(rt.E, ref.E)
+        for kv, ref_kv in zip(rt.cache.cross, ref.cache.cross):
+            for t, ref_t in zip(kv, ref_kv):
+                np.testing.assert_array_equal(t.data, ref_t.data)
+        assert rt.cache.length == ref.cache.length == 2
+        np.testing.assert_array_equal(rt.step_logits(ids[2, kept], labels[2, kept]),
+                                      ref.step_logits(ids[2, kept], labels[2, kept]))
 
 
 class TestCheckpoint:

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -84,11 +85,18 @@ class TestTrainConfig:
             TrainConfig(warmup_frac=0.0)
         with pytest.raises(ValueError):
             TrainConfig(warmup_frac=1.0)
+        for clip_norm in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="clip_norm"):
+                TrainConfig(clip_norm=clip_norm)
 
     def test_meta_round_trip(self):
-        cfg = TrainConfig(max_steps=77, batch_size=3, ordering=Ordering.RANDOM,
-                          seed=9, clip_norm=1.5, eval_every=10)
-        again = TrainConfig.from_meta(cfg.to_meta())
+        cfg = TrainConfig(max_steps=77, batch_size=3, max_sentences=2,
+                          ordering=Ordering.RANDOM, seed=9, lr_encoder=1e-5,
+                          lr_decoder=2e-5, lr_other=3e-5, warmup_frac=0.2,
+                          weight_decay=0.05, betas=(0.8, 0.99), eps=1e-6,
+                          clip_norm=1.5, eval_every=10)
+        assert all(getattr(cfg, f.name) != f.default for f in fields(TrainConfig))
+        again = TrainConfig.from_meta(json.loads(json.dumps(cfg.to_meta())))
         assert again == cfg
 
 
