@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Phase, advance, initial_state, legal_mask, replay, structural_labels
+from .grammar import Phase, advance, initial_state, legal_mask, structural_labels
 from .graph import Document, IEGraph
 from .linearize import END, SEP, START, Symbol, GraphSequence, delinearize
 from .model import AttnTrace, DecodeRuntime, Model, TooLong
@@ -76,19 +76,19 @@ def nucleus_select(logits: np.ndarray, mask: np.ndarray, top_p: float,
     return int(rng.choice(kept, p=kept_p / kept_p.sum()))
 
 
-def _close_sequence(symbols: list[Symbol]) -> list[Symbol]:
+# symbols of the unfinished triple at the end of a prefix, by grammar phase
+_OPEN_ARGUMENTS = {Phase.NODE: 0, Phase.HEAD: 0, Phase.TAIL: 1, Phase.REL: 2}
+
+
+def _close_sequence(symbols: list[Symbol], phase: Phase) -> list[Symbol]:
     """Trim a cut-off generation back to a grammar-valid sequence.
 
-    Pops any half-built triple, then appends SEP (if entities were still
-    being listed) and END.
+    ``phase`` is the grammar phase after the last symbol.  Drops the
+    half-built triple it implies (a head in TAIL, a head and a tail in REL),
+    then appends SEP (if entities were still being listed) and END.
     """
-    out = list(symbols)
-    while True:
-        _, final = replay(out)
-        if final.phase in (Phase.NODE, Phase.HEAD):
-            break
-        out.pop()
-    if final.phase is Phase.NODE:
+    out = symbols[: len(symbols) - _OPEN_ARGUMENTS[phase]]
+    if phase is Phase.NODE:
         out.append(SEP)
     out.append(END)
     return out
@@ -158,7 +158,7 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
     for b in range(len(docs)):
         truncated = not states[b].finished
         if truncated:
-            symbols[b] = _close_sequence(symbols[b])
+            symbols[b] = _close_sequence(symbols[b], states[b].phase)
             ids[b] = [symbol_to_id(layout, s) for s in symbols[b]]
         seq = GraphSequence(tuple(symbols[b]))
         results.append(GenerationResult(seq, delinearize(seq), ids[b], step_logits[b],

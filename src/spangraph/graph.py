@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -138,6 +141,22 @@ class Schema:
         if self.allowed_pairs is None:
             return frozenset(range(self.n_relation_types))
         return self.allowed_pairs.get((head_type, tail_type), frozenset())
+
+    @cached_property
+    def relation_table(self) -> np.ndarray:
+        """Read-only bool (C, C, R): ``[h, t, r]`` says ``r in allowed_relations(h, t)``.
+
+        Built on first use and kept, so the grammar reads allowed pairs by
+        array indexing instead of a call per pair; like the rest of the
+        schema, ``allowed_pairs`` must not change after construction.
+        """
+        C, R = self.n_entity_types, self.n_relation_types
+        table = np.zeros((C, C, R), dtype=bool)
+        for h in range(C):
+            for t in range(C):
+                table[h, t, sorted(self.allowed_relations(h, t))] = True
+        table.setflags(write=False)
+        return table
 
 
 def validate_graph(graph: IEGraph, doc: Document, max_width: int) -> IEGraph:

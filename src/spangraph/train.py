@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .fileio import atomic_write
 from .graph import Document, EntitySpan, IEGraph, Relation
 from .grammar import legal_mask, replay
 from .linearize import Ordering, linearize
@@ -79,6 +81,16 @@ class TrainConfig:
             raise ValueError("warmup_frac must lie strictly between 0 and 1")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        # a negative rate steps uphill; eps = 0 divides 0 by 0 on parameters
+        # no gradient has reached yet
+        for name in ("lr_encoder", "lr_decoder", "lr_other", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), got {self.betas}")
 
     def to_meta(self) -> dict:
         """Every field, JSON-ready: ``ordering`` by name, ``betas`` as a list."""
@@ -401,7 +413,10 @@ def train_loop(model: Model, cfg: TrainConfig, train_examples,
         if result.last_path is not None:
             save(result.last_path, cfg.max_steps)
         if result.best_path is not None and best_f1 < 0.0:
-            save(result.best_path, cfg.max_steps)
+            # no dev evaluation chose a best state: the final one is the best
+            with open(result.last_path, "rb") as last, \
+                    atomic_write(result.best_path, binary=True) as best:
+                shutil.copyfileobj(last, best)
     finally:
         if log_fh is not None:
             log_fh.close()

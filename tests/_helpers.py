@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from spangraph.grammar import FinishedState, Phase, replay
 from spangraph.graph import Document, EntitySpan, IEGraph, Relation, Schema
+from spangraph.linearize import END, SEP
 from spangraph.model import Model, ModelConfig, WordVocab
+from spangraph.vocab import symbol_to_id
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
           "iota", "kappa", "lam", "mu", "nu", "xi", "omicron", "pi")
@@ -63,3 +66,56 @@ def tiny_model(schema: Schema, words=("a", "b", "c"), d_model: int = 16,
         max_positions=kw.pop("max_positions", 128), **kw,
     )
     return Model(config, schema, vocab, rng=np.random.default_rng(seed))
+
+
+def reference_legal_mask(state, layout, schema) -> np.ndarray:
+    """``grammar.legal_mask`` as a scan over the declared entities: the oracle.
+
+    A head is viable when some other declared entity can be its tail, found
+    by trying every pair; tails are the declared entities an allowed
+    relation reaches from the head.
+    """
+    if state.finished:
+        raise FinishedState("decoding already emitted END")
+
+    def related(head, tail):
+        return tail != head and schema.allowed_relations(head.type_id, tail.type_id)
+
+    mask = np.zeros(layout.V, dtype=bool)
+    if state.phase is Phase.NODE:
+        mask[: layout.n_span_ids] = layout.realizable[: layout.n_span_ids]
+        for sym in state.generated:
+            mask[symbol_to_id(layout, sym)] = False
+        mask[layout.sep_id] = True
+    elif state.phase is Phase.HEAD:
+        for head in state.generated:
+            if any(related(head, tail) for tail in state.generated):
+                mask[symbol_to_id(layout, head)] = True
+        mask[layout.end_id] = True
+    elif state.phase is Phase.TAIL:
+        for tail in state.generated:
+            if related(state.pending_head, tail):
+                mask[symbol_to_id(layout, tail)] = True
+    else:  # REL
+        for r in schema.allowed_relations(state.pending_head.type_id,
+                                          state.pending_tail.type_id):
+            mask[layout.rel_id(r)] = True
+    return mask
+
+
+def reference_close_sequence(symbols):
+    """Trim a cut-off generation by replaying it after every pop: the oracle.
+
+    Pops symbols until the grammar is back in NODE or HEAD, then appends SEP
+    (if entities were still being listed) and END.
+    """
+    out = list(symbols)
+    while True:
+        _, final = replay(out)
+        if final.phase in (Phase.NODE, Phase.HEAD):
+            break
+        out.pop()
+    if final.phase is Phase.NODE:
+        out.append(SEP)
+    out.append(END)
+    return out

@@ -95,6 +95,15 @@ class TestTrain:
         assert [l for l in err.splitlines() if l.startswith("error:")] == [
             "error: heads must be at least 1, got 0"]
 
+    def test_negative_learning_rate_exits_one(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--train", workdir["train"], "--out-dir", str(tmp_path),
+                   "--steps", "1", "--lr-encoder", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            "error: lr_encoder must be finite and non-negative, got -1.0"]
+        assert not os.listdir(tmp_path)
+
 
 class TestGenerate:
     def test_render_and_out(self, workdir, tmp_path, capsys):

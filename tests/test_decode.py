@@ -3,11 +3,12 @@ import pytest
 
 from spangraph import decode
 from spangraph.decode import DecodeConfig, generate, generate_batch, nucleus_select, predict
+from spangraph.grammar import Phase, advance, initial_state, legal_mask, replay
 from spangraph.graph import Document, validate_graph
 from spangraph.linearize import END, SEP, START, RelSym, SpanSym
 from spangraph.model import TooLong
-from spangraph.vocab import build_layout, symbol_to_id
-from _helpers import make_doc, make_schema, tiny_model
+from spangraph.vocab import build_layout, id_to_symbol, symbol_to_id
+from _helpers import make_doc, make_schema, reference_close_sequence, tiny_model
 
 
 class TestDecodeConfig:
@@ -172,6 +173,28 @@ class TestBudgets:
         m = tiny_model(two_type_schema, words=("a", "b", "c"))
         res = generate(m, Document(("a", "b", "c"), id="d"), DecodeConfig(max_len=3))
         assert len(res.sequence.symbols) <= 5
+
+
+class TestCloseSequence:
+    def test_matches_replaying_oracle_on_every_prefix(self, rng):
+        schema = make_schema(2, 2, allowed_pairs={(0, 1): frozenset({0, 1}),
+                                                  (1, 0): frozenset({1})})
+        layout = build_layout(5, schema, 3)
+        cuts = set()
+        for _ in range(40):
+            state, seq = initial_state(), [START]
+            while not state.finished:
+                legal = np.flatnonzero(legal_mask(state, layout, schema))
+                sym = id_to_symbol(layout, int(legal[rng.integers(0, legal.size)]))
+                seq.append(sym)
+                state = advance(state, sym)
+            states, _ = replay(seq)
+            # states[k] is the state after the prefix seq[:k]
+            for k in range(1, len(seq)):
+                cuts.add(states[k].phase)
+                assert (decode._close_sequence(seq[:k], states[k].phase)
+                        == reference_close_sequence(seq[:k]))
+        assert cuts == set(Phase)
 
 
 class TestCapture:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spangraph import grammar
 from spangraph.grammar import (
     DecodeState,
     EnumerationBudgetExceeded,
@@ -17,7 +20,7 @@ from spangraph.grammar import (
 from spangraph.graph import Schema
 from spangraph.linearize import END, SEP, START, RelSym, SpanSym, delinearize, linearize
 from spangraph.vocab import build_layout, id_to_symbol, symbol_to_id
-from _helpers import make_schema
+from _helpers import make_schema, reference_legal_mask
 
 WORKED_SEQ = (
     START,
@@ -281,3 +284,94 @@ class TestRandomRollouts:
                 ht = g.entities[r.head].type_id
                 tt = g.entities[r.tail].type_id
                 assert r.rel_type_id in schema.allowed_relations(ht, tt)
+
+
+# allowed-pairs settings the masks are checked under against the scan oracle:
+# no table, a table that rules pairs out, and one that allows same-type pairs
+# (a head then needs a second entity of its own type)
+ORACLE_SCHEMAS = {
+    "unrestricted": make_schema(2, 2),
+    "restricting": make_schema(2, 2, allowed_pairs={(0, 1): frozenset({0, 1}),
+                                                    (1, 0): frozenset({1})}),
+    "same_type": make_schema(2, 2, allowed_pairs={(0, 0): frozenset({0}),
+                                                  (1, 0): frozenset({1})}),
+}
+
+
+class TestMaskOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMAS))
+    def test_equals_scan_on_every_enumerated_state(self, name, monkeypatch):
+        schema = ORACLE_SCHEMAS[name]
+        layout = build_layout(2, schema, 2)
+        masks, steps = [], []
+
+        def recording_mask(state, layout, schema):
+            mask = legal_mask(state, layout, schema)
+            masks.append((state, mask))
+            return mask
+
+        def recording_advance(state, sym):
+            nxt = advance(state, sym)
+            steps.append((state, sym, nxt))
+            return nxt
+
+        monkeypatch.setattr(grammar, "legal_mask", recording_mask)
+        monkeypatch.setattr(grammar, "advance", recording_advance)
+        assert enumerate_valid_sequences(layout, schema, max_len=9)
+        assert {s.phase for s, _ in masks} == set(Phase)
+        # checked once the search has branched past every state: sibling
+        # states share declared-entity records, and none may see another's
+        assert masks[0][0].generated == ()
+        for before, sym, after in steps:
+            grown = (sym,) if before.phase is Phase.NODE and isinstance(sym, SpanSym) else ()
+            assert after.generated == before.generated + grown
+        for state, mask in masks:
+            np.testing.assert_array_equal(mask, reference_legal_mask(state, layout, schema))
+            np.testing.assert_array_equal(legal_mask(state, layout, schema), mask)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(ORACLE_SCHEMAS)),
+           n_entities=st.integers(47, 60))
+    def test_equals_scan_on_long_random_walks(self, seed, name, n_entities):
+        schema = ORACLE_SCHEMAS[name]
+        layout = build_layout(100, schema, 3)
+        rng = np.random.default_rng(seed)
+        state = initial_state()
+        seen = set()
+        for _ in range(n_entities + 1 + 3 * 30):
+            seen.add(state.phase)
+            mask = legal_mask(state, layout, schema)
+            np.testing.assert_array_equal(mask, reference_legal_mask(state, layout, schema))
+            legal = np.flatnonzero(mask)
+            if state.phase is Phase.NODE and len(state.generated) == n_entities:
+                pick = layout.sep_id
+            elif state.phase is Phase.NODE or state.phase is Phase.HEAD:
+                spans = legal[legal < layout.n_span_ids]  # not SEP or END yet
+                if spans.size == 0:
+                    break
+                pick = int(rng.choice(spans))
+            else:
+                pick = int(rng.choice(legal))
+            state = advance(state, id_to_symbol(layout, pick))
+        assert len(state.generated) == n_entities
+        assert seen == set(Phase)
+
+    def test_head_mask_asks_the_schema_at_most_once_per_type_pair(self, monkeypatch):
+        schema = make_schema(3, 2, allowed_pairs={(0, 1): frozenset({0}),
+                                                  (2, 2): frozenset({1})})
+        layout = build_layout(100, schema, 3)
+        state = initial_state()
+        for i in range(47):
+            state = advance(state, SpanSym(i, i, i % 3))
+        state = advance(state, SEP)
+        calls = []
+        allowed_relations = Schema.allowed_relations
+
+        def counting(self, head_type, tail_type):
+            calls.append((head_type, tail_type))
+            return allowed_relations(self, head_type, tail_type)
+
+        monkeypatch.setattr(Schema, "allowed_relations", counting)
+        mask = legal_mask(state, layout, schema)
+        assert len(calls) <= 3 ** 2
+        np.testing.assert_array_equal(mask, reference_legal_mask(state, layout, schema))

@@ -88,6 +88,19 @@ class TestTrainConfig:
         for clip_norm in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="clip_norm"):
                 TrainConfig(clip_norm=clip_norm)
+        for name in ("lr_encoder", "lr_decoder", "lr_other", "weight_decay"):
+            for value in (-1e-4, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    TrainConfig(**{name: value})
+            TrainConfig(**{name: 0.0})
+        for eps in (0.0, -1e-8, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps"):
+                TrainConfig(eps=eps)
+        for betas in ((1.0, 0.999), (0.9, 1.0), (-0.1, 0.999), (0.9, 1.5), (float("nan"), 0.9),
+                      (0.9,)):
+            with pytest.raises(ValueError, match="betas"):
+                TrainConfig(betas=betas)
+        TrainConfig(betas=(0.0, 0.0))
 
     def test_meta_round_trip(self):
         cfg = TrainConfig(max_steps=77, batch_size=3, max_sentences=2,
@@ -413,6 +426,31 @@ class TestTrainingDynamics:
         assert "dev_rel_strict_f1" in lines[1] and "dev_rel_strict_f1" in lines[3]
         assert "dev_rel_strict_f1" not in lines[0]
         assert res.best_dev_f1 is not None
+
+    def test_without_dev_evaluation_best_is_a_copy_of_last(self, toy_corpus, tmp_path):
+        examples = list(toy_corpus.examples)[:5]
+        model = _corpus_model(toy_corpus)
+        cfg = TrainConfig(max_steps=3, batch_size=2, max_sentences=2, seed=0)
+        opt = AdamW(model.params, cfg.betas, cfg.eps, cfg.weight_decay)
+        res = train_loop(model, cfg, examples, out_dir=str(tmp_path), optimizer=opt)
+        assert res.best_dev_f1 is None
+        with open(res.best_path, "rb") as best, open(res.last_path, "rb") as last:
+            assert best.read() == last.read()
+        loaded, rest, meta = Model.load(res.best_path)
+        assert meta["step"] == 3 and meta["opt_t"] == opt.t
+        for n, p in model.params.items():
+            np.testing.assert_array_equal(loaded.params[n].data, p.data)
+        state = opt.state_arrays()
+        assert set(rest) == set(state)
+        for n, a in state.items():
+            np.testing.assert_array_equal(rest[n], a)
+        # resuming from best.npz continues the run exactly as in memory
+        cfg5 = TrainConfig(max_steps=5, batch_size=2, max_sentences=2, seed=0)
+        in_memory = train_loop(model, cfg5, examples, optimizer=opt, start_step=4).losses
+        opt2 = AdamW(loaded.params, cfg5.betas, cfg5.eps, cfg5.weight_decay)
+        opt2.load_state(rest, meta["opt_t"])
+        from_best = train_loop(loaded, cfg5, examples, optimizer=opt2, start_step=4).losses
+        assert from_best == in_memory
 
     def test_non_finite_loss_stops_before_any_update_or_write(self, toy_corpus, tmp_path):
         examples = list(toy_corpus.examples)[:5]
