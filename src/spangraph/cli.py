@@ -93,9 +93,7 @@ def _apply_config(leaves: dict[str, argparse.ArgumentParser], argv: list[str]) -
 
 
 def _check_same_schema(a: Schema, b: Schema, what: str) -> None:
-    if (a.entity_types, a.relation_types, a.allowed_pairs) != (
-        b.entity_types, b.relation_types, b.allowed_pairs
-    ):
+    if a != b:
         raise ValueError(f"{what} uses a different schema")
 
 

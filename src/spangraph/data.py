@@ -52,43 +52,6 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _schema_header(schema: Schema) -> dict:
-    pairs = None
-    if schema.allowed_pairs is not None:
-        pairs = [
-            [schema.entity_types[h], schema.entity_types[t],
-             sorted(schema.relation_types[r] for r in rels)]
-            for (h, t), rels in sorted(schema.allowed_pairs.items())
-        ]
-    return {
-        "entity_types": list(schema.entity_types),
-        "relation_types": list(schema.relation_types),
-        "allowed_pairs": pairs,
-    }
-
-
-def _schema_from_header(h: dict, where: str) -> Schema:
-    try:
-        entity_types = tuple(h["entity_types"])
-        relation_types = tuple(h.get("relation_types") or ())
-        pairs = h.get("allowed_pairs")
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"{where}: malformed schema header: {e}") from e
-    table = None
-    if pairs is not None:
-        table = {}
-        for head_name, tail_name, rel_names in pairs:
-            try:
-                key = (entity_types.index(head_name), entity_types.index(tail_name))
-                table[key] = frozenset(relation_types.index(r) for r in rel_names)
-            except ValueError as e:
-                raise SchemaMismatch(f"{where}: allowed_pairs names unknown type: {e}") from e
-    try:
-        return Schema(entity_types, relation_types, table)
-    except GraphError as e:
-        raise SchemaMismatch(f"{where}: {e}") from e
-
-
 def record_to_example(rec: dict, schema: Schema, where: str) -> tuple[Document, IEGraph]:
     try:
         doc = Document(tuple(rec["tokens"]), id=str(rec["id"]))
@@ -102,6 +65,8 @@ def record_to_example(rec: dict, schema: Schema, where: str) -> tuple[Document, 
         )
     except KeyError as e:
         raise ParseError(f"{where}: record missing field {e}") from e
+    except TypeError as e:
+        raise ParseError(f"{where}: malformed record: {e}") from e
     except ValueError as e:
         raise SchemaMismatch(f"{where}: {e}") from e
     return doc, IEGraph(entities, relations)
@@ -140,7 +105,12 @@ def load_dataset(path: str) -> Dataset:
     header = parse(1, lines[0])
     if header.get("format") != DATASET_FORMAT:
         raise ParseError(f"{path}:1: missing or unknown format marker")
-    schema = _schema_from_header(header.get("schema") or {}, f"{path}:1")
+    try:
+        schema = Schema.from_json(header.get("schema"))
+    except TypeError as e:
+        raise ParseError(f"{path}:1: malformed schema header: {e}") from e
+    except GraphError as e:
+        raise SchemaMismatch(f"{path}:1: {e}") from e
     try:
         max_width = int(header["max_span_width"])
     except (KeyError, TypeError, ValueError) as e:
@@ -162,7 +132,7 @@ def load_dataset(path: str) -> Dataset:
 def save_dataset(path: str, dataset: Dataset) -> None:
     header = {
         "format": DATASET_FORMAT,
-        "schema": _schema_header(dataset.schema),
+        "schema": dataset.schema.to_json(),
         "max_span_width": dataset.max_span_width,
     }
     body = [_canonical(header)]

@@ -158,6 +158,61 @@ class Schema:
         table.setflags(write=False)
         return table
 
+    def to_json(self) -> dict:
+        """The schema's one JSON form, as datasets and checkpoints store it.
+
+        Every type is named; ``allowed_pairs`` entries are
+        ``[head, tail, [relation, ...]]`` in (head id, tail id) order, with
+        the relation names sorted.
+        """
+        pairs = None
+        if self.allowed_pairs is not None:
+            pairs = [
+                [self.entity_types[h], self.entity_types[t],
+                 sorted(self.relation_types[r] for r in rels)]
+                for (h, t), rels in sorted(self.allowed_pairs.items())
+            ]
+        return {
+            "entity_types": list(self.entity_types),
+            "relation_types": list(self.relation_types),
+            "allowed_pairs": pairs,
+        }
+
+    @classmethod
+    def from_json(cls, obj) -> "Schema":
+        """Read ``to_json``'s form, or the id form ``[h, t, [r, ...]]`` of pair entries.
+
+        Older checkpoints store pairs by id; JSON strings versus integers tell
+        the two forms apart.  A value of the wrong shape raises ``TypeError``;
+        an unknown type name, or an inventory the constructor rejects,
+        ``GraphError``.
+        """
+        if not isinstance(obj, dict):
+            raise TypeError(f"schema must be an object, got {obj!r}")
+        ents, rels = (obj.get(key) or [] for key in ("entity_types", "relation_types"))
+        if not all(isinstance(names, list) and all(isinstance(n, str) for n in names)
+                   for names in (ents, rels)):
+            raise TypeError("entity_types and relation_types must be lists of names")
+        pairs, table = obj.get("allowed_pairs"), None
+        if pairs is not None:
+            if not isinstance(pairs, list):
+                raise TypeError(f"allowed_pairs must be a list or null, got {pairs!r}")
+            ent_id, rel_id = ({n: i for i, n in enumerate(names)} for names in (ents, rels))
+            table = {}
+            for entry in pairs:
+                if not (isinstance(entry, list) and len(entry) == 3
+                        and isinstance(entry[2], list)):
+                    raise TypeError(f"allowed_pairs entry {entry!r} is not [head, tail, [...]]")
+                h, t, rs = entry
+                if all(isinstance(x, str) for x in (h, t, *rs)):
+                    if not ({h, t} <= ent_id.keys() and set(rs) <= rel_id.keys()):
+                        raise GraphError(f"allowed_pairs entry {entry!r} names an unknown type")
+                    h, t, rs = ent_id[h], ent_id[t], [rel_id[r] for r in rs]
+                elif not all(type(x) is int for x in (h, t, *rs)):
+                    raise TypeError(f"allowed_pairs entry {entry!r} is not all names or all ids")
+                table[(h, t)] = rs
+        return cls(ents, rels, table)
+
 
 def validate_graph(graph: IEGraph, doc: Document, max_width: int) -> IEGraph:
     """Check every structural invariant; return the graph unchanged if all hold.

@@ -247,29 +247,6 @@ def _init_params(config: ModelConfig, schema: Schema, n_words: int, rng) -> dict
     return params
 
 
-def _schema_to_meta(schema: Schema) -> dict:
-    pairs = None
-    if schema.allowed_pairs is not None:
-        pairs = [[h, t, sorted(rs)] for (h, t), rs in sorted(schema.allowed_pairs.items())]
-    return {
-        "entity_types": list(schema.entity_types),
-        "relation_types": list(schema.relation_types),
-        "allowed_pairs": pairs,
-    }
-
-
-def _schema_from_meta(meta: dict) -> Schema:
-    pairs = meta.get("allowed_pairs")
-    table = None
-    if pairs is not None:
-        table = {(h, t): frozenset(rs) for h, t, rs in pairs}
-    return Schema(
-        entity_types=tuple(meta["entity_types"]),
-        relation_types=tuple(meta["relation_types"]),
-        allowed_pairs=table,
-    )
-
-
 class Model:
     def __init__(self, config: ModelConfig, schema: Schema, word_vocab: WordVocab,
                  rng: np.random.Generator | None = None,
@@ -352,11 +329,11 @@ class Model:
         h_end = T.embedding_lookup(H, np.minimum(ends, last))
         h_end = T.mul(h_end, Tensor(valid[:, None].astype(self.config.np_dtype)))
         cat = T.concat_last_dim(h_start, h_end)
-        per_type = [
-            T.matmul(cat, self.params[f"span.w{c}"])
-            for c in range(self.schema.n_entity_types)
-        ]
-        return T.interleave_rows(per_type)
+        # column block c of row i is span i under type c, so the (N, C*D)
+        # product reshapes to rows i*C + c
+        W = T.concat_last_dim(*(self.params[f"span.w{c}"]
+                                for c in range(self.schema.n_entity_types)))
+        return T.reshape(T.matmul(cat, W), (-1, self.config.d_model))
 
     def build_E(self, S: Tensor) -> Tensor:
         """Dynamic vocabulary matrix (V, D): spans, then specials, then relations."""
@@ -464,7 +441,7 @@ class Model:
         meta = {
             "format": "spangraph-checkpoint-v1",
             "config": asdict(self.config),
-            "schema": _schema_to_meta(self.schema),
+            "schema": self.schema.to_json(),
             "words": list(self.word_vocab.words),
             "param_names": sorted(self.params),
         }
@@ -480,14 +457,20 @@ class Model:
         (optimizer state), and the ``extra`` metadata dict.
         """
         arrays, meta = T.load_arrays(path)
-        if not meta or meta.get("format") != "spangraph-checkpoint-v1":
+        if not isinstance(meta, dict) or meta.get("format") != "spangraph-checkpoint-v1":
             raise ValueError(f"{path} is not a model checkpoint")
-        config = ModelConfig(**meta["config"])
-        schema = _schema_from_meta(meta["schema"])
-        vocab = WordVocab(meta["words"])
+        try:
+            config = ModelConfig(**meta["config"])
+            schema = Schema.from_json(meta["schema"])
+            vocab = WordVocab(meta["words"])
+            stored_names = set(meta["param_names"])
+        except KeyError as e:
+            raise ValueError(f"{path}: checkpoint metadata lacks {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: malformed checkpoint metadata: {e}") from e
         expected = param_shapes(config, schema, len(vocab))
         missing = [n for n in expected if n not in arrays]
-        unexpected = sorted(set(meta["param_names"]) - set(expected))
+        unexpected = sorted(stored_names - set(expected))
         if missing or unexpected:
             raise ValueError(f"{path}: parameters do not match its config: "
                              f"missing {missing[:5]}, unexpected {unexpected[:5]}")

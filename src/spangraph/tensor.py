@@ -253,17 +253,27 @@ def transpose(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[:-1] != b.shape[:-1]:
-        raise ShapeMismatch(f"concat_last_dim leading dims differ: {a.shape} vs {b.shape}")
-    out_data = np.concatenate([a.data, b.data], axis=-1)
-    split = a.shape[-1]
+def concat_last_dim(*parts: Tensor) -> Tensor:
+    if not parts or any(p.shape[:-1] != parts[0].shape[:-1] for p in parts):
+        raise ShapeMismatch(f"concat_last_dim leading dims differ: {[p.shape for p in parts]}")
+    out_data = np.concatenate([p.data for p in parts], axis=-1)
+    splits = np.cumsum([p.shape[-1] for p in parts])[:-1]
 
     def backward(g):
-        _accum(a, g[..., :split])
-        _accum(b, g[..., split:])
+        for p, gp in zip(parts, np.split(g, splits, axis=-1)):
+            _accum(p, gp)
 
-    return _make(out_data, (a, b), backward)
+    return _make(out_data, parts, backward)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same elements in row-major order under a new shape (one -1 is inferred)."""
+    out_data = x.data.reshape(shape)
+
+    def backward(g):
+        _accum(x, g.reshape(x.shape))
+
+    return _make(out_data, (x,), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -277,25 +287,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
         for p, n in zip(parts, sizes):
             _accum(p, g[at : at + n])
             at += n
-
-    return _make(out_data, tuple(parts), backward)
-
-
-def interleave_rows(parts: list[Tensor]) -> Tensor:
-    """Stack C equally-shaped (N, D) tensors into (N*C, D) with row i*C + c = parts[c][i]."""
-    if not parts or any(p.data.ndim != 2 for p in parts):
-        raise ShapeMismatch("interleave_rows expects a non-empty list of 2-D tensors")
-    n, d = parts[0].shape
-    if any(p.shape != (n, d) for p in parts):
-        raise ShapeMismatch("interleave_rows parts must share one shape")
-    c = len(parts)
-    out_data = np.empty((n * c, d), dtype=parts[0].dtype)
-    for i, p in enumerate(parts):
-        out_data[i::c] = p.data
-
-    def backward(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i::c])
 
     return _make(out_data, tuple(parts), backward)
 

@@ -213,6 +213,17 @@ class TestEvaluate:
         assert rc == 1
         assert "missing" in capsys.readouterr().err
 
+    def test_malformed_record_is_one_located_error(self, workdir, tmp_path, capsys):
+        lines = open(workdir["test"]).read().splitlines()
+        rec = json.loads(lines[1])
+        rec["entities"] = [1]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+        rc = main(["evaluate", "--pred", str(bad), "--gold", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:2: ")
+
 
 class TestInspect:
     def test_attention_csv(self, workdir, tmp_path, capsys):

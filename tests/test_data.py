@@ -159,6 +159,39 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match=":2:"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", 5),
+        ("entities", [1]),
+        ("relations", ["x"]),
+        ("entities", [{"start": None, "end": 0, "type": "person"}]),
+    ])
+    def test_malformed_record_field(self, tmp_path, field, value):
+        p = tmp_path / "n.jsonl"
+        rec = {"id": "d", "tokens": ["a", "b"], "entities": [], "relations": [], field: value}
+        write_lines(p, [header_line(), json.dumps(rec)])
+        with pytest.raises(ParseError, match=r"n\.jsonl:2: "):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize("schema, error", [
+        ({"entity_types": ["person"], "allowed_pairs": 5}, ParseError),
+        ({"entity_types": ["person"], "allowed_pairs": [["person", "person"]]}, ParseError),
+        ({"entity_types": ["person"], "allowed_pairs": [["person", 0, []]]}, ParseError),
+        ({"entity_types": ["person"], "allowed_pairs": [[True, 0, []]]}, ParseError),
+        ({"entity_types": "person"}, ParseError),
+        ([], ParseError),
+        ({"entity_types": ["person"], "allowed_pairs": [["person", "alien", []]]},
+         SchemaMismatch),
+        ({"entity_types": ["person"], "relation_types": ["r"],
+          "allowed_pairs": [["person", "person", ["s"]]]}, SchemaMismatch),
+        ({"entity_types": ["person"], "allowed_pairs": [[0, 1, []]]}, SchemaMismatch),
+    ])
+    def test_malformed_schema_header(self, tmp_path, schema, error):
+        p = tmp_path / "o.jsonl"
+        head = {"format": DATASET_FORMAT, "max_span_width": 3, "schema": schema}
+        write_lines(p, [json.dumps(head)])
+        with pytest.raises(error, match=r"o\.jsonl:1: "):
+            load_dataset(str(p))
+
 
 class TestSynthetic:
     def test_sizes_and_validity(self, tmp_path):

@@ -1,7 +1,12 @@
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
 from spangraph import tensor as T
+from spangraph.data import SYNTH_SCHEMA
 from spangraph.graph import Document, Schema
 from spangraph.linearize import END, SEP, START, RelSym, SpanSym
 from spangraph.model import (
@@ -18,6 +23,7 @@ from spangraph.model import (
 )
 from spangraph.vocab import build_layout, symbol_to_id
 from _helpers import make_schema, tiny_model
+from test_data import header_line
 
 
 class TestModelConfig:
@@ -412,6 +418,53 @@ class TestCheckpoint:
             meta["config"]["dec_layers"] = 2
         with pytest.raises(ValueError, match=r"missing \[.dec\.1\."):
             Model.load(self._tampered(tmp_path, two_type_schema, edit))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda meta: meta.pop("schema"), "checkpoint metadata lacks 'schema'"),
+        (lambda meta: meta.pop("words"), "checkpoint metadata lacks 'words'"),
+        (lambda meta: meta["config"].update(width=3), "malformed.*width"),
+        (lambda meta: meta["schema"].update(entity_types="person"), "malformed.*entity_types"),
+        (lambda meta: meta["schema"].update(allowed_pairs=[[0, 1]]), "malformed.*allowed_pairs"),
+    ], ids=["no-schema", "no-words", "unknown-config-key", "type-names-not-a-list",
+            "two-item-pair"])
+    def test_malformed_metadata_rejected(self, tmp_path, two_type_schema, edit, match):
+        path = self._tampered(tmp_path, two_type_schema, lambda arrays, meta: edit(meta))
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: {match}"):
+            Model.load(path)
+
+    def test_schema_stored_in_dataset_header_form(self, tmp_path):
+        schema = make_schema(3, 2, allowed_pairs={(2, 0): frozenset({1, 0}),
+                                                  (0, 1): frozenset({1})})
+        path = str(tmp_path / "ck.npz")
+        tiny_model(schema).save(path)
+        _, meta = T.load_arrays(path)
+        assert meta["schema"] == json.loads(header_line(schema))["schema"]
+
+    def test_id_form_schema_still_loads(self, tmp_path):
+        schema = make_schema(2, 2, allowed_pairs={(0, 1): frozenset({0, 1}),
+                                                  (1, 0): frozenset({1})})
+
+        def to_id_form(arrays, meta):
+            meta["schema"]["allowed_pairs"] = [
+                [h, t, sorted(rs)] for (h, t), rs in sorted(schema.allowed_pairs.items())]
+
+        m2, _, _ = Model.load(self._tampered(tmp_path, schema, to_id_form))
+        assert m2.schema == schema
+        m = tiny_model(schema, dec_layers=1)
+        tok = np.array([1, 2, 3])
+        layout = build_layout(3, schema, 3)
+        ids, labels = np.array([layout.start_id, 0]), np.array([0, 0])
+        np.testing.assert_array_equal(m.sequence_logits(tok, ids, labels).data,
+                                      m2.sequence_logits(tok, ids, labels).data)
+
+    def test_benchmark_checkpoint_loads_read_only(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "decode_ckpt.npz")
+        before = open(path, "rb").read()
+        _, meta = T.load_arrays(path)
+        assert meta["schema"]["allowed_pairs"] == [[0, 1, [0, 1]]]  # the id form
+        model, _, _ = Model.load(path)
+        assert model.schema == SYNTH_SCHEMA
+        assert open(path, "rb").read() == before
 
     def test_behaviour_identical_after_reload(self, tmp_path, two_type_schema):
         m = tiny_model(two_type_schema)

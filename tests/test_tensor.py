@@ -147,17 +147,12 @@ class TestGradients:
         check_op(lambda a, b: T.concat_rows([a, b]),
                  [rng.standard_normal((2, 3)), rng.standard_normal((4, 3))], rng)
 
-    def test_interleave_rows(self, rng):
-        check_op(lambda a, b: T.interleave_rows([a, b]),
-                 [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))], rng)
+    def test_concat_last_dim_three_parts(self, rng):
+        check_op(T.concat_last_dim, [rng.standard_normal((4, 3)), rng.standard_normal((4, 2)),
+                                     rng.standard_normal((4, 5))], rng)
 
-    def test_interleave_rows_layout(self, rng):
-        a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((3, 2))
-        out = T.interleave_rows([T.Tensor(a), T.Tensor(b)])
-        for i in range(3):
-            np.testing.assert_array_equal(out.data[2 * i], a[i])
-            np.testing.assert_array_equal(out.data[2 * i + 1], b[i])
+    def test_reshape(self, rng):
+        check_op(lambda x: T.reshape(x, (-1, 4)), [rng.standard_normal((3, 8))], rng)
 
     def test_softmax(self, rng):
         check_op(T.softmax_last_dim, [rng.standard_normal((4, 6))], rng)
