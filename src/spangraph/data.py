@@ -52,15 +52,24 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _index(value) -> int:
+    """A JSON integer, as is: ``int()`` would truncate 0.9 and accept ``true`` or "1"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer index, got {value!r}")
+    return value
+
+
 def record_to_example(rec: dict, schema: Schema, where: str) -> tuple[Document, IEGraph]:
     try:
+        if not isinstance(rec["tokens"], list):
+            raise TypeError(f"tokens must be a list, got {rec['tokens']!r}")
         doc = Document(tuple(rec["tokens"]), id=str(rec["id"]))
         entities = tuple(
-            EntitySpan(int(e["start"]), int(e["end"]), schema.entity_type_id(e["type"]))
+            EntitySpan(_index(e["start"]), _index(e["end"]), schema.entity_type_id(e["type"]))
             for e in rec.get("entities", ())
         )
         relations = tuple(
-            Relation(int(r["head"]), int(r["tail"]), schema.relation_type_id(r["type"]))
+            Relation(_index(r["head"]), _index(r["tail"]), schema.relation_type_id(r["type"]))
             for r in rec.get("relations", ())
         )
     except KeyError as e:

@@ -15,6 +15,7 @@ logits are bit-equal whether it decodes alone (``generate``) or in a batch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,11 @@ class DecodeConfig:
             raise ValueError(f"unknown decode mode {self.mode!r}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
-        if self.max_len is not None and self.max_len < 3:
-            raise ValueError("max_len below the shortest valid sequence")
+        if self.max_len is not None:
+            if isinstance(self.max_len, bool) or not isinstance(self.max_len, numbers.Integral):
+                raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
+            if self.max_len < 3:
+                raise ValueError("max_len below the shortest valid sequence")
 
 
 @dataclass

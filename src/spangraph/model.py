@@ -133,10 +133,12 @@ class AttnTrace:
 class DecodeCache:
     """Per-layer keys/values that let ``decode_hidden`` extend G prefixes in place.
 
-    ``cross`` holds each layer's cross-attention keys and values over the G
-    sentences' encoder rows, computed once, G equal segments of rows;
-    ``keys``/``values`` are (G, rows, D) self-attention rows, the first
-    ``length`` of each prefix filled.
+    Every array is in ``tensor.attention``'s head layout (``split_heads``),
+    so a step attends over it in place.  ``cross`` holds each layer's
+    cross-attention keys (G, heads, dk, L) and values (G, heads, L, dk) over
+    the G sentences' encoder rows, computed and split once; ``keys`` are
+    (G, heads, dk, rows) and ``values`` (G, heads, rows, dk) self-attention
+    rows, the first ``length`` of each prefix filled.
     """
 
     cross: list[tuple[Tensor, Tensor]]
@@ -383,20 +385,21 @@ class Model:
             n_seq, block = cache.groups, None
             cross_groups = (n_seq, None)
         end = start + x.shape[0] // n_seq
-        causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]
-        if block is not None:
-            causal &= block
+        causal = None  # one query row per prefix attends to every key
+        if end - start > 1:
+            causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]
+            if block is not None:
+                causal &= block
         sinks = (None, None) if trace is None else (trace.self_attn, trace.cross_attn)
         p = self.params
         for i in range(self.config.dec_layers):
             h = T.layer_norm(x, p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
             kv = self._kv(f"dec.{i}.self", h)
             if cache is not None:
-                shape = (n_seq, end - start, -1)
-                cache.keys[i][:, start:end] = kv[0].data.reshape(shape)
-                cache.values[i][:, start:end] = kv[1].data.reshape(shape)
-                kv = (Tensor(cache.keys[i][:, :end].reshape(n_seq * end, -1)),
-                      Tensor(cache.values[i][:, :end].reshape(n_seq * end, -1)))
+                heads = self.config.heads
+                cache.keys[i][..., start:end] = T.split_heads(kv[0].data, n_seq, heads, True)
+                cache.values[i][:, :, start:end] = T.split_heads(kv[1].data, n_seq, heads)
+                kv = (Tensor(cache.keys[i][..., :end]), Tensor(cache.values[i][:, :, :end]))
             x = T.add(x, self._mha(f"dec.{i}.self", h, kv, (n_seq, causal), train, rng,
                                    sinks[0]))
             h = T.layer_norm(x, p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
@@ -507,19 +510,22 @@ class DecodeRuntime:
             # (B, V, D): each sentence's own vocabulary
             self.E = np.stack([model.build_E(Tensor(s)).data
                                for s in np.split(spans, n_seq)])
-            self._fresh_cache(model.cross_kv(H), rows)
+            heads = model.config.heads
+            cross = [(Tensor(T.split_heads(k.data, n_seq, heads, True)),
+                      Tensor(T.split_heads(v.data, n_seq, heads))) for k, v in model.cross_kv(H)]
+            self._fresh_cache(cross, rows)
 
     def _fresh_cache(self, cross: list[tuple[Tensor, Tensor]], rows: int) -> None:
-        shape = (self.E.shape[0], rows, self.model.config.d_model)
-        self.cache = DecodeCache(cross, [np.empty(shape, self.E.dtype) for _ in cross],
-                                 [np.empty(shape, self.E.dtype) for _ in cross])
+        n_seq, heads = self.E.shape[0], self.model.config.heads
+        dk = self.model.config.d_model // heads
+        self.cache = DecodeCache(
+            cross, [np.empty((n_seq, heads, dk, rows), self.E.dtype) for _ in cross],
+            [np.empty((n_seq, heads, rows, dk), self.E.dtype) for _ in cross])
 
     def keep(self, rows) -> None:
         """Drop every sentence but ``rows`` (indices) from E and the cache."""
         cache = self.cache
-        n_seq, d = self.E.shape[0], self.E.shape[-1]
-        cache.cross = [tuple(Tensor(t.data.reshape(n_seq, -1, d)[rows].reshape(-1, d))
-                             for t in kv) for kv in cache.cross]
+        cache.cross = [tuple(Tensor(t.data[rows]) for t in kv) for kv in cache.cross]
         cache.keys = [k[rows] for k in cache.keys]
         cache.values = [v[rows] for v in cache.values]
         self.E = self.E[rows]
@@ -536,7 +542,8 @@ class DecodeRuntime:
             x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows, labels,
                                           start=self.cache.length, sym_lens=[1] * n_seq)
             z = self.model.decode_hidden(x, None, cache=self.cache)
-            return T.matmul_np(self.E, z.data[:, :, None])[:, :, 0]
+            # (B, 1, D) @ (B, D, V), each sentence's E^T a transposed view
+            return T.matmul_np(z.data[:, None, :], self.E.transpose(0, 2, 1))[:, 0]
 
     def prefix_logits(self, ids, labels) -> np.ndarray:
         """Recompute whole prefixes into a fresh cache; logits after their last symbol.

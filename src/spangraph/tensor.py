@@ -2,16 +2,20 @@
 
 A small tape-based engine over numpy arrays: each op records its parents and a
 backward rule; ``backward`` walks the graph in reverse topological order and
-accumulates gradients.  Layout is row-major with no views or strides beyond a
-2-D transpose.  All randomness (dropout) flows through explicit generators.
+accumulates gradients.  Op outputs are row-major; op inputs may be strided
+numpy views (a transposed or sliced array), which the kernels read in place.
+All randomness (dropout) flows through explicit generators.
 
-Ops take 2-D tensors; ``attention`` splits its operands into heads inside.
+Ops take 2-D tensors; ``attention`` splits its operands into heads inside,
+and also takes keys and values already in its head layout (``split_heads``),
+as a decoding cache stores them.
 
 ``rowwise_kernels`` switches matrix multiplication (per head in ``attention``)
-to non-optimized einsum, whose accumulation order per output element does
-not depend on the number of rows.  Incremental decoding relies on this: a row
-computed alone is bit-equal to the same row inside a larger product, which
-BLAS does not guarantee.
+to one BLAS call per output row: every row is its own item of a batched
+product, so a row's arithmetic is the same call on the same operands however
+many rows are batched with it.  Incremental decoding relies on this: a row
+computed alone is bit-equal to the same row inside a larger product, which a
+single blocked BLAS call does not guarantee.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ def debug_check_finite():
 
 
 def matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product, batched over any leading axes."""
+    """Matrix product, batched over any leading axes; row by row under ``rowwise_kernels``."""
     if _rowwise:
-        return np.einsum("...ij,...jk->...ik", a, b, optimize=False)
+        return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
     return a @ b
 
 
@@ -365,6 +369,13 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -
     return _make(out_data, (x,), backward)
 
 
+def split_heads(x: np.ndarray, groups: int, heads: int, keys: bool = False) -> np.ndarray:
+    """(G*n, D) rows in attention's head layout: (G, heads, n, dk), keys (G, heads, dk, n)."""
+    rows, d = x.shape
+    split = x.reshape(groups, rows // groups, heads, d // heads)
+    return np.ascontiguousarray(split.transpose((0, 2, 3, 1) if keys else (0, 2, 1, 3)))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
               dropout_p: float = 0.0, rng: np.random.Generator | None = None,
               train: bool = False, sink: list | None = None, groups: int = 1) -> Tensor:
@@ -378,22 +389,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     where a query may attend.  Train-mode dropout on the weights draws one
     ``rng.random((G, heads, m, n))``; ``sink`` receives the weights before
     it, as (heads, M, N) for one group and (G, heads, m, n) otherwise.
+
+    ``k`` and ``v`` may instead come already in the head layout of
+    ``split_heads``, k as (G, heads, dk, n) and v as (G, heads, n, dk), with
+    any strides; they are read in place and their gradients accumulate in
+    that layout.
     """
-    (rows_q, d), rows_k = q.shape, k.shape[0]
-    if (k.shape != (rows_k, d) or v.shape != (rows_k, d) or heads < 1 or d % heads
-            or groups < 1 or rows_q % groups or rows_k % groups):
+    (rows_q, d), split_kv = q.shape, k.data.ndim == 4
+    dk = d // max(heads, 1)
+    if split_kv:
+        n = k.shape[-1]
+        kv_shapes = (groups, heads, dk, n), (groups, heads, n, dk)
+    else:
+        n = k.shape[0] // max(groups, 1)
+        kv_shapes = (groups * n, d), (groups * n, d)
+    if (heads < 1 or d % heads or groups < 1 or rows_q % groups
+            or (k.shape, v.shape) != kv_shapes):
         raise ShapeMismatch(f"attention shapes {q.shape}, {k.shape}, {v.shape} with "
                             f"{heads} heads, {groups} groups")
-    m, n, dk = rows_q // groups, rows_k // groups, d // heads
-
-    def split(x: np.ndarray, rows: int, order=(0, 2, 1, 3)) -> np.ndarray:
-        # (G*rows, D) -> (G, heads, rows, dk), or (G, heads, dk, rows) for keys
-        return np.ascontiguousarray(x.reshape(groups, rows, heads, dk).transpose(order))
 
     def merge(x: np.ndarray) -> np.ndarray:  # (G, heads, rows, dk) -> (G*rows, D)
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    qh, kt, vh = split(q.data, m), split(k.data, n, (0, 2, 3, 1)), split(v.data, n)
+    qh = split_heads(q.data, groups, heads)
+    kt, vh = (k.data, v.data) if split_kv else (split_heads(k.data, groups, heads, True),
+                                                split_heads(v.data, groups, heads))
     scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.dtype)
     w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
     if sink is not None:
@@ -403,14 +423,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     out_data = merge(matmul_np(wd, vh))
 
     def backward(g):
-        gh = split(g, m)
+        gh = split_heads(g, groups, heads)
         gw = matmul_np(gh, vh.transpose(0, 1, 3, 2))
         if drop is not None:
             gw = gw * drop
         gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
         _accum(q, merge(matmul_np(gs, kt.transpose(0, 1, 3, 2))))
-        _accum(k, merge(matmul_np(gs.transpose(0, 1, 3, 2), qh)))
-        _accum(v, merge(matmul_np(wd.transpose(0, 1, 3, 2), gh)))
+        gk = matmul_np(gs.transpose(0, 1, 3, 2), qh)  # (G, heads, n, dk)
+        gv = matmul_np(wd.transpose(0, 1, 3, 2), gh)
+        _accum(k, gk.transpose(0, 1, 3, 2) if split_kv else merge(gk))
+        _accum(v, gv if split_kv else merge(gv))
 
     return _make(out_data, (q, k, v), backward)
 

@@ -164,6 +164,11 @@ class TestLoadErrors:
         ("entities", [1]),
         ("relations", ["x"]),
         ("entities", [{"start": None, "end": 0, "type": "person"}]),
+        ("tokens", "abc"),
+        ("entities", [{"start": 0.9, "end": 1, "type": "person"}]),
+        ("entities", [{"start": True, "end": 1, "type": "person"}]),
+        ("entities", [{"start": "x", "end": 1, "type": "person"}]),
+        ("relations", [{"head": 0.5, "tail": 1, "type": "works_for"}]),
     ])
     def test_malformed_record_field(self, tmp_path, field, value):
         p = tmp_path / "n.jsonl"

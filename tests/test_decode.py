@@ -31,6 +31,14 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             DecodeConfig(max_len=2)
 
+    @pytest.mark.parametrize("max_len", [10.5, 10.0, True, "10"])
+    def test_max_len_must_be_an_integer(self, max_len):
+        with pytest.raises(ValueError, match="max_len must be an integer"):
+            DecodeConfig(max_len=max_len)
+
+    def test_max_len_numpy_integer_accepted(self):
+        assert DecodeConfig(max_len=np.int64(10)).max_len == 10
+
 
 class TestNucleusSelect:
     def test_dominant_mass_always_first(self):
@@ -288,11 +296,12 @@ class TestLockstep:
 
         def spy(runtime, *args):
             init(runtime, *args)
-            sizes.append(runtime.cache.keys[0].shape)
+            keys = runtime.cache.keys[0]  # (sentences, heads, dk, rows)
+            sizes.append((keys.shape[0], keys.shape[-1]))
 
         monkeypatch.setattr(decode.DecodeRuntime, "__init__", spy)
         predict(m, self._docs([3, 3, 4]))
-        assert sorted(sizes) == [(1, 19, 16), (2, 15, 16)]
+        assert sorted(sizes) == [(1, 19), (2, 15)]
 
 
 class TestTooLong:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,27 @@ class TestIncrementalDecoding:
         assert rt.cache.length == ref.cache.length == 2
         np.testing.assert_array_equal(rt.step_logits(ids[2, kept], labels[2, kept]),
                                       ref.step_logits(ids[2, kept], labels[2, kept]))
+
+
+class TestDecodeStepMemory:
+    def test_cached_step_copies_no_cached_rows(self, two_type_schema):
+        # a step reads the cache in place: its peak allocation stays below one
+        # layer's cached keys, which a per-step copy of the keys would reach
+        rows = 2000
+        m = tiny_model(two_type_schema, d_model=32, heads=2, max_positions=rows)
+        layout = build_layout(3, two_type_schema, 3)
+        rt = DecodeRuntime(m, np.array([[1, 2, 3]]), rows)
+        for a in rt.cache.keys + rt.cache.values:
+            a.fill(0.25)
+        rt.cache.length = rows - 1
+        tracemalloc.start()
+        try:
+            rt.step_logits(np.array([layout.sep_id]), np.array([0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rt.cache.length == rows
+        assert peak < rt.cache.keys[0].nbytes
 
 
 class TestCheckpoint:

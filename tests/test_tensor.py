@@ -59,6 +59,83 @@ class TestNumpyKernels:
         np.testing.assert_allclose(T.gelu_np(x), want, rtol=1e-15)
 
 
+def _unaligned(a: np.ndarray) -> np.ndarray:
+    """A fresh C-ordered copy of ``a`` whose data starts one element into its buffer."""
+    buf = np.empty(a.size + 1, a.dtype)
+    out = buf[1:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def _cache_view(b: np.ndarray, spare: int) -> np.ndarray:
+    """``b`` as the filled columns of a wider buffer: leading stride > used width."""
+    buf = np.zeros(b.shape[:-1] + (b.shape[-1] + spare,), b.dtype)
+    buf[..., : b.shape[-1]] = b
+    return buf[..., : b.shape[-1]]
+
+
+class TestRowwiseMatmul:
+    """Under ``rowwise_kernels`` a row of a product does not depend on its batch.
+
+    Each case computes a batch, then every row again on its own, from fresh
+    unaligned copies, and asks for the same bits.  A strided view is compared
+    with a view of another stride and a transposed view with a transposed
+    view: at N = 1 a contiguous column takes a different numpy path from a
+    strided one, and a transposed operand a different BLAS kernel.
+    """
+
+    DTYPES = [np.float32, np.float64]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", [1, 3, 33])
+    @pytest.mark.parametrize("k", [5, 67])
+    @pytest.mark.parametrize("n", [1, 403])
+    def test_row_alone_equals_row_in_batch(self, rng, dtype, m, k, n):
+        a, b = (rng.standard_normal(s).astype(dtype) for s in ((m, k), (k, n)))
+        with T.rowwise_kernels():
+            full = T.matmul_np(a, b)
+            for i in range(m):
+                assert (T.matmul_np(a[i:i + 1], b) == full[i:i + 1]).all()
+                assert (T.matmul_np(_unaligned(a[i:i + 1]), _unaligned(b)) == full[i:i + 1]).all()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_leading_batch_axes(self, rng, dtype):
+        # (G, heads, m, k) against per-item and broadcast right operands
+        a = rng.standard_normal((2, 3, 5, 67)).astype(dtype)
+        b = rng.standard_normal((2, 3, 67, 403)).astype(dtype)
+        with T.rowwise_kernels():
+            for right in (b, b[1, 2]):
+                full = T.matmul_np(a, right)
+                for g, h, i in np.ndindex(a.shape[:3]):
+                    item = right if right.ndim == 2 else right[g, h]
+                    alone = T.matmul_np(_unaligned(a[g, h, i:i + 1]), _unaligned(item))
+                    assert (alone == full[g, h, i:i + 1]).all()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [1, 2, 403])
+    def test_strided_cache_view(self, rng, dtype, n):
+        # keys as a decoding cache holds them: (G, heads, dk, rows), first n filled
+        a = rng.standard_normal((2, 3, 4, 16)).astype(dtype)
+        keys = rng.standard_normal((2, 3, 16, n)).astype(dtype)
+        with T.rowwise_kernels():
+            full = T.matmul_np(a, _cache_view(keys, 37))
+            for g, h, i in np.ndindex(a.shape[:3]):
+                alone = T.matmul_np(_unaligned(a[g, h, i:i + 1]), _cache_view(keys[g, h], 5))
+                assert (alone == full[g, h, i:i + 1]).all()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k", [5, 67])
+    def test_transposed_view(self, rng, dtype, k):
+        # pointer scores z @ E^T, E^T a transposed view of each sentence's (V, D) rows
+        z = rng.standard_normal((4, 1, k)).astype(dtype)
+        E = rng.standard_normal((4, 403, k)).astype(dtype)
+        with T.rowwise_kernels():
+            full = T.matmul_np(z, E.transpose(0, 2, 1))
+            for b in range(4):
+                alone = T.matmul_np(_unaligned(z[b]), _unaligned(E[b]).T)
+                assert (alone == full[b]).all()
+
+
 class TestAutogradValues:
     def test_sum_all_grad_is_ones(self, rng):
         x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -307,6 +384,48 @@ class TestAttention:
                 assert (tq.grad[rq] == sq.grad).all()
                 assert (tk.grad[rk] == sk.grad).all()
                 assert (tv.grad[rk] == sv.grad).all()
+
+    def test_grad_split_operands(self, rng):
+        # keys and values already in head layout: two groups, 2 heads of width 3
+        mask = np.arange(5)[None, :] <= np.arange(3, 5)[:, None]
+        check_op(lambda q, k, v: T.attention(q, k, v, 2, mask, groups=2),
+                 [rng.standard_normal((4, 6)), rng.standard_normal((2, 2, 3, 5)),
+                  rng.standard_normal((2, 2, 5, 3))], rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_operands_equal_row_operands_bitwise(self, rng, dtype):
+        G, heads, m, n = 3, 4, 2, 5
+        q, k, v = (rng.standard_normal((G * r, 16)).astype(dtype) for r in (m, n, n))
+        mask = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
+        g_out = rng.standard_normal((G * m, 16)).astype(dtype)
+        kt, vh = T.split_heads(k, G, heads, True), T.split_heads(v, G, heads)
+        # split operands as strided views of wider buffers, the way a cache holds them
+        kbuf = np.zeros(kt.shape[:3] + (n + 3,), dtype)
+        vbuf = np.zeros(vh.shape[:2] + (n + 3,) + vh.shape[3:], dtype)
+        kbuf[..., :n], vbuf[:, :, :n] = kt, vh
+        with T.rowwise_kernels():
+            rows = [T.Tensor(a, requires_grad=True) for a in (q, k, v)]
+            split = [T.Tensor(a, requires_grad=True)
+                     for a in (q, kbuf[..., :n], vbuf[:, :, :n])]
+            outs = []
+            for tq, tk, tv in (rows, split):
+                outs.append(T.attention(tq, tk, tv, heads, mask, groups=G))
+                T.backward(T.sum_all(T.mul(outs[-1], T.Tensor(g_out))))
+        assert (outs[0].data == outs[1].data).all()
+        # q's gradient reads the keys transposed, a kernel whose bits may follow
+        # the keys' stride; decoding never differentiates
+        np.testing.assert_allclose(split[0].grad, rows[0].grad, rtol=1e-5)
+        assert (T.split_heads(rows[1].grad, G, heads, True) == split[1].grad).all()
+        assert (T.split_heads(rows[2].grad, G, heads) == split[2].grad).all()
+
+    def test_split_operands_checked(self, rng):
+        q = T.Tensor(rng.standard_normal((4, 6)))
+        k, v = T.Tensor(np.zeros((2, 2, 3, 5))), T.Tensor(np.zeros((2, 2, 5, 3)))
+        T.attention(q, k, v, 2, None, groups=2)
+        with pytest.raises(T.ShapeMismatch):
+            T.attention(q, k, v, 3, None, groups=2)
+        with pytest.raises(T.ShapeMismatch):
+            T.attention(q, k, k, 2, None, groups=2)
 
     def test_groups_must_divide_rows(self, rng):
         q, k = T.Tensor(rng.standard_normal((3, 4))), T.Tensor(rng.standard_normal((4, 4)))
