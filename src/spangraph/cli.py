@@ -53,6 +53,18 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
+# what a config value must be, by its flag's argparse type: a description and
+# the JSON types that qualify (a JSON bool is never a number)
+_CONFIG_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+                 None: ("a string", (str,))}
+
+
+def _check_config_type(path: str, key: str, action: argparse.Action, value) -> None:
+    what, types = ("true or false", (bool,)) if action.nargs == 0 else _CONFIG_TYPES[action.type]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ValueError(f"{path}: {key} must be {what}, got {json.dumps(value)}")
+
+
 def _apply_config(leaves: dict[str, argparse.ArgumentParser], argv: list[str]) -> None:
     """Install config-file values as defaults on the targeted subcommand.
 
@@ -83,6 +95,7 @@ def _apply_config(leaves: dict[str, argparse.ArgumentParser], argv: list[str]) -
     cfg = {}
     for key, value in raw.items():
         action = actions[key]
+        _check_config_type(path, key, action, value)
         if action.choices is not None and value not in action.choices:
             raise ValueError(
                 f"{path}: {key} must be one of {sorted(action.choices)}, got {value!r}"

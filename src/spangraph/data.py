@@ -55,7 +55,7 @@ def _canonical(obj) -> str:
 def _index(value) -> int:
     """A JSON integer, as is: ``int()`` would truncate 0.9 and accept ``true`` or "1"."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer index, got {value!r}")
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -121,7 +121,9 @@ def load_dataset(path: str) -> Dataset:
     except GraphError as e:
         raise SchemaMismatch(f"{path}:1: {e}") from e
     try:
-        max_width = int(header["max_span_width"])
+        max_width = _index(header["max_span_width"])
+        if max_width < 1:
+            raise ValueError(f"must be positive, got {max_width}")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}:1: bad max_span_width: {e}") from e
 

@@ -34,6 +34,11 @@ from .vocab import build_layout, id_to_symbol, symbol_to_id
 BATCH_CACHE_ROWS = 512
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     mode: str = "greedy"
@@ -47,10 +52,13 @@ class DecodeConfig:
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
         if self.max_len is not None:
-            if isinstance(self.max_len, bool) or not isinstance(self.max_len, numbers.Integral):
+            if not _is_integer(self.max_len):
                 raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
             if self.max_len < 3:
                 raise ValueError("max_len below the shortest valid sequence")
+        # numpy seeds its generators from non-negative integers only
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass

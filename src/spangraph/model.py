@@ -267,23 +267,23 @@ class Model:
 
     def _kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
         p = self.params
-        return (T.add(T.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]),
-                T.add(T.matmul(x, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]))
+        return (T.linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]),
+                T.linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
 
     def _mha(self, prefix: str, x_q: Tensor, kv: tuple[Tensor, Tensor],
              groups: tuple[int, np.ndarray | None], train: bool, rng,
              sink: list | None) -> Tensor:
         p = self.params
-        q = T.add(T.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
+        q = T.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
         ctx = T.attention(q, *kv, self.config.heads, groups[1], self.config.dropout, rng, train,
                           sink, groups[0])
-        out = T.add(T.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+        out = T.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
         return T.dropout(out, self.config.dropout, rng, train)
 
     def _ffn(self, prefix: str, x: Tensor, train: bool, rng) -> Tensor:
         p = self.params
-        h = T.gelu(T.add(T.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        out = T.add(T.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        h = T.gelu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        out = T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
         return T.dropout(out, self.config.dropout, rng, train)
 
     def encode(self, token_ids: np.ndarray, train: bool = False, rng=None,
@@ -481,6 +481,10 @@ class Model:
                  if arrays[n].shape != s]
         if wrong:
             raise ValueError(f"{path}: parameter shapes do not match its config: {wrong[:5]}")
+        cast = next((n for n in expected if arrays[n].dtype != config.np_dtype), None)
+        if cast is not None:
+            raise ValueError(f"{path}: parameter {cast} is {arrays[cast].dtype}, "
+                             f"its config says {config.dtype}")
         params = {n: Tensor(arrays.pop(n), requires_grad=True) for n in sorted(expected)}
         model = cls(config, schema, vocab, params=params)
         return model, arrays, (meta.get("extra") or {})

@@ -6,9 +6,10 @@ accumulates gradients.  Op outputs are row-major; op inputs may be strided
 numpy views (a transposed or sliced array), which the kernels read in place.
 All randomness (dropout) flows through explicit generators.
 
-Ops take 2-D tensors; ``attention`` splits its operands into heads inside,
-and also takes keys and values already in its head layout (``split_heads``),
-as a decoding cache stores them.
+Ops are module functions over 2-D tensors (``Tensor`` has no operators).
+``linear`` is a whole affine map ``x @ w + b``, one tape node; ``attention``
+splits its operands into heads inside, and also takes keys and values
+already in its head layout (``split_heads``), as a decoding cache stores them.
 
 ``rowwise_kernels`` switches matrix multiplication (per head in ``attention``)
 to one BLAS call per output row: every row is its own item of a batched
@@ -105,10 +106,15 @@ def masked_softmax_np(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def gelu_np(x: np.ndarray) -> np.ndarray:
-    return (0.5 * x * (1.0 + erf(x * np.asarray(math.sqrt(0.5), dtype=x.dtype)))).astype(
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF at ``x``, in ``x``'s dtype."""
+    return (0.5 * (1.0 + erf(x * np.asarray(math.sqrt(0.5), dtype=x.dtype)))).astype(
         x.dtype, copy=False
     )
+
+
+def gelu_np(x: np.ndarray) -> np.ndarray:
+    return x * _gelu_cdf(x)
 
 
 class Tensor:
@@ -137,28 +143,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={'set' if self.grad is not None else 'none'})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -244,6 +228,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, matmul_np(a.data.T, g))
 
     return _make(out_data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x @ w + b`` of (M, K) rows by a (K, N) matrix and an (N,) bias."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"linear shapes {x.shape} @ {w.shape} + {b.shape}")
+    out_data = matmul_np(x.data, w.data)
+    out_data += b.data
+
+    def backward(g):
+        _accum(x, matmul_np(g, w.data.T))
+        _accum(w, matmul_np(x.data.T, g))
+        _accum(b, g.sum(axis=0))
+
+    return _make(out_data, (x, w, b), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -339,11 +338,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def gelu(x: Tensor) -> Tensor:
-    out_data = gelu_np(x.data)
+    cdf = _gelu_cdf(x.data)
+    out_data = x.data * cdf
 
     def backward(g):
         z = x.data
-        cdf = 0.5 * (1.0 + erf(z * math.sqrt(0.5)))
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         _accum(x, (g * (cdf + z * pdf)).astype(x.dtype, copy=False))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -77,6 +78,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_steps < 1 or self.batch_size < 1 or self.max_sentences < 1:
             raise ValueError("max_steps, batch_size and max_sentences must be positive")
+        # numpy seeds its generators from non-negative integers only
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer is not JSON
         if not 0.0 < self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie strictly between 0 and 1")
         if self.clip_norm is not None and not self.clip_norm > 0.0:

@@ -160,6 +160,8 @@ def test_criterion_05_gradients_match_finite_differences():
     check_op(T.sub, [rng.standard_normal((2, 3, 4)), rng.standard_normal((3, 1))], rng, **kw)
     check_op(T.mul, [rng.standard_normal((3, 4)), rng.standard_normal((1, 4))], rng, **kw)
     check_op(T.matmul, [rng.standard_normal((5, 3)), rng.standard_normal((3, 4))], rng, **kw)
+    check_op(T.linear, [rng.standard_normal((5, 3)), rng.standard_normal((3, 4)),
+                        rng.standard_normal(4)], rng, **kw)
     check_op(T.transpose, [rng.standard_normal((3, 5))], rng, **kw)
     check_op(T.concat_last_dim,
              [rng.standard_normal((4, 3)), rng.standard_normal((4, 2))], rng, **kw)

@@ -131,6 +131,13 @@ class TestGenerate:
         assert "schema" in capsys.readouterr().err
 
 
+    def test_negative_seed_names_the_flag(self, workdir, capsys):
+        rc = main(["generate", "--checkpoint", workdir["ckpt"], "--data", workdir["test"],
+                   "--mode", "nucleus", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+
 class TestTooLong:
     """A sentence longer than max_positions fails alone; the rest are decoded."""
 
@@ -297,6 +304,38 @@ class TestConfigFile:
         rc = main(["train", "--config", cfg])
         assert rc == 1
         assert "ordering" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,what", [
+        ("d-model", 64.0, "an integer"),
+        ("heads", 4.0, "an integer"),
+        ("steps", 2.0, "an integer"),
+        ("max_sentences", 1.5, "an integer"),
+        ("eval-every", 0.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("dropout", "0.1", "a number"),
+        ("lr-other", False, "a number"),
+        ("pos-off", 1, "true or false"),
+        ("verbose", "yes", "true or false"),
+        ("ordering", 1, "a string"),
+        ("dev", None, "a string"),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, workdir, tmp_path, capsys, key, value, what):
+        cfg = self._write(tmp_path / "typed.cfg", {"train": workdir["train"], key: value})
+        rc = main(["train", "--config", cfg])
+        assert rc == 1
+        err = capsys.readouterr().err
+        name = key.replace("-", "_")
+        assert err == f"error: {cfg}: {name} must be {what}, got {json.dumps(value)}\n"
+
+    def test_integer_for_a_float_flag_and_bool_switch_accepted(self, workdir, tmp_path):
+        out_dir = str(tmp_path / "typed_run")
+        cfg = self._write(tmp_path / "t.cfg", {
+            "train": workdir["train"], "steps": 1, "batch-size": 1, "max-sentences": 1,
+            "d-model": 16, "enc-layers": 1, "dec-layers": 1, "heads": 2, "out-dir": out_dir,
+            "lr-other": 1, "dropout": 0, "struct-off": True,
+        })
+        assert main(["train", "--config", cfg]) == 0
+        assert os.path.exists(os.path.join(out_dir, "last.npz"))
 
     def test_invalid_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ class TestLoadErrors:
         p = tmp_path / "f.jsonl"
         write_lines(p, ['{"schema": {}, "max_span_width": 3}'])
         with pytest.raises(ParseError, match=":1:"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize("width, why", [
+        ("3", "expected an integer, got '3'"),
+        (3.9, "expected an integer, got 3.9"),
+        (3.0, "expected an integer, got 3.0"),
+        (True, "expected an integer, got True"),
+        (None, "expected an integer, got None"),
+        (0, "must be positive, got 0"),
+        (-2, "must be positive, got -2"),
+    ])
+    def test_max_span_width_must_be_a_positive_integer(self, tmp_path, width, why):
+        p = tmp_path / "w.jsonl"
+        rec = json.dumps(example_to_record(Document(("a",), id="d"), IEGraph(), SYNTH_SCHEMA))
+        write_lines(p, [header_line(max_width=width), rec])
+        with pytest.raises(ParseError, match=rf"w\.jsonl:1: bad max_span_width: {re.escape(why)}$"):
             load_dataset(str(p))
 
     def test_invalid_json_points_at_line(self, tmp_path):

@@ -435,6 +435,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="dec.0.ffn.w1"):
             Model.load(self._tampered(tmp_path, two_type_schema, edit))
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda arrays, meta: meta["config"].update(dtype="float32"),
+         "parameter enc.word_emb is float64, its config says float32"),
+        (lambda arrays, meta: arrays.update({"dec.0.self.bq": arrays["dec.0.self.bq"]
+                                             .astype(np.float32)}),
+         "parameter dec.0.self.bq is float32, its config says float64"),
+    ], ids=["config-dtype", "one-array"])
+    def test_dtype_unlike_config_rejected(self, tmp_path, two_type_schema, edit, match):
+        path = self._tampered(tmp_path, two_type_schema, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: {match}$"):
+            Model.load(path)
+
     def test_config_without_its_layer_rejected(self, tmp_path, two_type_schema):
         def edit(arrays, meta):
             meta["config"]["dec_layers"] = 2

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 
@@ -57,6 +58,20 @@ class TestNumpyKernels:
         x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         want = x * 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2)) for v in x]))
         np.testing.assert_allclose(T.gelu_np(x), want, rtol=1e-15)
+
+    def test_gelu_evaluates_erf_once(self, rng, monkeypatch):
+        # backward reuses the CDF of the forward instead of recomputing it
+        calls, erf = [], T.erf
+
+        def counted(z):
+            calls.append(z.shape)
+            return erf(z)
+
+        monkeypatch.setattr(T, "erf", counted)
+        x = T.Tensor(rng.standard_normal((3, 7)), requires_grad=True)
+        T.backward(T.sum_all(T.gelu(x)))
+        assert calls == [(3, 7)]
+        assert x.grad is not None
 
 
 def _unaligned(a: np.ndarray) -> np.ndarray:
@@ -136,6 +151,47 @@ class TestRowwiseMatmul:
                 assert (alone == full[b]).all()
 
 
+class TestLinear:
+    """``linear`` is the pair ``add(matmul(x, w), b)`` fused into one op, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rowwise", [False, True])
+    @pytest.mark.parametrize("m", [1, 3, 33])
+    def test_bit_equal_to_matmul_then_add(self, rng, dtype, rowwise, m):
+        arrays = [rng.standard_normal(s).astype(dtype) for s in ((m, 24), (24, 40), (40,))]
+        proj = rng.standard_normal((m, 40)).astype(dtype)
+
+        def run(op):
+            x, w, b = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            with T.rowwise_kernels() if rowwise else contextlib.nullcontext():
+                out = op(x, w, b)
+                T.backward(T.sum_all(T.mul(out, T.Tensor(proj))))
+            return [out.data, x.grad, w.grad, b.grad]
+
+        fused = run(T.linear)
+        pair = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+        for got, want in zip(fused, pair):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_tape_node(self, rng):
+        x, w, b = (T.Tensor(rng.standard_normal(s), requires_grad=True)
+                   for s in ((2, 3), (3, 4), (4,)))
+        out = T.linear(x, w, b)
+        assert out._parents == (x, w, b)
+
+    @pytest.mark.parametrize("shapes", [
+        ((3,), (3, 4), (4,)),       # 1-D rows
+        ((2, 3), (5, 4), (4,)),     # inner dims differ
+        ((2, 3), (3, 4), (5,)),     # bias length is not the output width
+        ((2, 3), (3, 4), (1, 4)),   # 2-D bias
+    ])
+    def test_shape_mismatch(self, shapes):
+        x, w, b = (T.Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(T.ShapeMismatch):
+            T.linear(x, w, b)
+
+
 class TestAutogradValues:
     def test_sum_all_grad_is_ones(self, rng):
         x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -213,6 +269,10 @@ class TestGradients:
 
     def test_matmul(self, rng):
         check_op(T.matmul, [rng.standard_normal((5, 3)), rng.standard_normal((3, 4))], rng)
+
+    def test_linear(self, rng):
+        check_op(T.linear, [rng.standard_normal((5, 3)), rng.standard_normal((3, 4)),
+                            rng.standard_normal(4)], rng)
 
     def test_transpose(self, rng):
         check_op(T.transpose, [rng.standard_normal((3, 5))], rng)

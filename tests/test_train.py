@@ -101,6 +101,12 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="betas"):
                 TrainConfig(betas=betas)
         TrainConfig(betas=(0.0, 0.0))
+        for seed in (-1, 1.0, True, "1", None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                TrainConfig(seed=seed)
+        cfg = TrainConfig(seed=np.int64(3))
+        assert type(cfg.seed) is int and cfg.seed == 3
+        json.dumps(cfg.to_meta())
 
     def test_meta_round_trip(self):
         cfg = TrainConfig(max_steps=77, batch_size=3, max_sentences=2,
