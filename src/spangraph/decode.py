@@ -15,7 +15,6 @@ logits are bit-equal whether it decodes alone (``generate``) or in a batch.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .grammar import Phase, advance, initial_state, legal_mask, structural_labels
 from .graph import Document, IEGraph
 from .linearize import END, SEP, START, Symbol, GraphSequence, delinearize
-from .model import AttnTrace, DecodeRuntime, Model, TooLong
+from .model import AttnTrace, DecodeRuntime, Model, TooLong, is_integer
 from .tensor import masked_softmax_np, no_grad, rowwise_kernels
 from .vocab import build_layout, id_to_symbol, symbol_to_id
 
@@ -32,11 +31,6 @@ from .vocab import build_layout, id_to_symbol, symbol_to_id
 # with two float32 decoder layers.  Larger caps decode short sentences
 # faster but raise peak memory; CHANGES.md has the measurements.
 BATCH_CACHE_ROWS = 512
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,12 +46,12 @@ class DecodeConfig:
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
         if self.max_len is not None:
-            if not _is_integer(self.max_len):
+            if not is_integer(self.max_len):
                 raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
             if self.max_len < 3:
                 raise ValueError("max_len below the shortest valid sequence")
         # numpy seeds its generators from non-negative integers only
-        if not (_is_integer(self.seed) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 

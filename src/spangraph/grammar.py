@@ -10,6 +10,7 @@ declared entities, and the tail must differ from the head.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,112 +48,65 @@ class Phase(enum.IntEnum):
     REL = 3
 
 
+@dataclass(slots=True, eq=False)
 class _Declared:
-    """The entity spans a decoding path declared, in order, shared by its states.
+    """The entity spans one state declared, in order, with caches built from them.
 
-    A state sees the first ``n`` entries, and an entry never changes, so
-    states of different lengths can share one record.  ``index`` maps each
-    span to its position, for membership; ``ids`` holds each span's
-    vocabulary id under the last layout asked for, computed once per span;
-    ``head_memo`` keeps the last HEAD-phase mask built from the record.
-    ``extended`` appends in place when the state sees every entry, so a
-    decoding path pays O(1) amortized per entity; it copies the first ``n``
-    entries first when a sibling state has already appended past them.
+    The spans never change: declaring one more builds a new record.  ``index``
+    holds the spans for membership; ``ids`` gives their vocabulary ids under
+    the last layout asked for; ``head_memo`` keeps the last HEAD-phase mask.
     """
 
-    __slots__ = ("spans", "index", "head_memo", "_layout", "_ids", "_n_ids")
+    spans: tuple[SpanSym, ...] = ()
+    index: frozenset[SpanSym] = frozenset()
+    _layout: VocabLayout | None = None
+    _ids: np.ndarray | None = None
+    head_memo: tuple | None = None  # (layout, schema, mask)
 
-    def __init__(self, spans=()):
-        self.spans: list[SpanSym] = []
-        self.index: dict[SpanSym, int] = {}
-        self.head_memo: tuple | None = None  # (layout, schema, n, mask)
-        self._layout: VocabLayout | None = None
-        self._ids = np.empty(8, dtype=np.int64)
-        self._n_ids = 0
-        for span in spans:
-            self._append(span)
+    def extended(self, span: SpanSym) -> _Declared:
+        """This record plus ``span``, keeping the ids already computed."""
+        return _Declared(self.spans + (span,), self.index | {span}, self._layout, self._ids)
 
-    def _append(self, span: SpanSym) -> None:
-        self.index[span] = len(self.spans)
-        self.spans.append(span)
-
-    def holds(self, span: SpanSym, n: int) -> bool:
-        """Whether ``span`` is among the first ``n`` entries."""
-        i = self.index.get(span)
-        return i is not None and i < n
-
-    def extended(self, n: int, span: SpanSym) -> _Declared:
-        """A record of the first ``n`` entries plus ``span``."""
-        rec = self if len(self.spans) == n else _Declared(self.spans[:n])
-        rec._append(span)
-        return rec
-
-    def ids(self, layout: VocabLayout, n: int) -> np.ndarray:
-        """Vocabulary ids of the first ``n`` entries under ``layout``.
+    def ids(self, layout: VocabLayout) -> np.ndarray:
+        """Vocabulary ids of the spans under ``layout``.
 
         Ids are kept for one layout at a time; ``symbol_to_id`` computes each
         one, and raises ``SymbolOutOfLayout`` for a span outside the layout.
         """
         if self._layout is not layout:
-            self._layout, self._n_ids = layout, 0
-        if self._n_ids < n:
-            if len(self._ids) < n:
-                grown = np.empty(max(n, 2 * len(self._ids)), dtype=np.int64)
-                grown[: self._n_ids] = self._ids[: self._n_ids]
-                self._ids = grown
-            self._ids[self._n_ids:n] = [symbol_to_id(layout, s) for s in self.spans[self._n_ids:n]]
-            self._n_ids = n
-        return self._ids[:n]
+            self._layout, self._ids = layout, np.empty(0, dtype=np.int64)
+        n = len(self._ids)
+        if n < len(self.spans):
+            new = [symbol_to_id(layout, s) for s in self.spans[n:]]
+            self._ids = np.concatenate((self._ids, new))
+        return self._ids
 
 
+# not slots=True: on Python 3.11 a frozen slotted dataclass raises TypeError,
+# not AttributeError, when a name that is not a field (``generated``) is set
+@dataclass(frozen=True, eq=False, repr=False)
 class DecodeState:
     """What the grammar knows after a prefix: phase, declared entities, pending triple.
 
     States are values: ``advance`` returns a new state and leaves its
-    argument as it was, and no attribute can be set.  States along one
-    decoding path share their record of declared entities, so making one
-    costs O(1) however many entities there are.
+    argument as it was, and no attribute can be set.
     """
 
-    __slots__ = ("phase", "pending_head", "pending_tail", "finished", "_declared", "_n")
-
-    def __init__(self, phase: Phase = Phase.NODE, generated: tuple[SpanSym, ...] = (),
-                 pending_head: SpanSym | None = None, pending_tail: SpanSym | None = None,
-                 finished: bool = False):
-        _fill(self, phase, _Declared(generated), len(generated), pending_head, pending_tail,
-              finished)
+    phase: Phase = Phase.NODE
+    _declared: _Declared = field(default_factory=_Declared)
+    pending_head: SpanSym | None = None
+    pending_tail: SpanSym | None = None
+    finished: bool = False
 
     @property
     def generated(self) -> tuple[SpanSym, ...]:
         """The declared entity spans, in the order they were emitted."""
-        return tuple(self._declared.spans[: self._n])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DecodeState is immutable; cannot set {name!r}")
+        return self._declared.spans
 
     def __repr__(self) -> str:
         return (f"DecodeState(phase={self.phase!r}, generated={self.generated!r}, "
                 f"pending_head={self.pending_head!r}, pending_tail={self.pending_tail!r}, "
                 f"finished={self.finished!r})")
-
-
-_setattr = object.__setattr__
-
-
-def _fill(state: DecodeState, phase: Phase, declared: _Declared, n: int,
-          head: SpanSym | None, tail: SpanSym | None, finished: bool) -> DecodeState:
-    _setattr(state, "phase", phase)
-    _setattr(state, "pending_head", head)
-    _setattr(state, "pending_tail", tail)
-    _setattr(state, "finished", finished)
-    _setattr(state, "_declared", declared)
-    _setattr(state, "_n", n)
-    return state
-
-
-def _state(phase: Phase, declared: _Declared, n: int, head: SpanSym | None = None,
-           tail: SpanSym | None = None, finished: bool = False) -> DecodeState:
-    return _fill(object.__new__(DecodeState), phase, declared, n, head, tail, finished)
 
 
 def initial_state() -> DecodeState:
@@ -176,14 +130,14 @@ def legal_mask(state: DecodeState, layout: VocabLayout, schema: Schema) -> np.nd
         rels = schema.relation_table[state.pending_head.type_id, state.pending_tail.type_id]
         mask[layout.n_span_ids + layout.T:] = rels
         return mask
-    declared, n = state._declared, state._n
+    declared = state._declared
     if state.phase is Phase.HEAD:
         # SEP fixes the entities, so every HEAD step of a sequence has one mask
         memo = declared.head_memo
-        if memo is None or memo[0] is not layout or memo[1] is not schema or memo[2] != n:
-            memo = declared.head_memo = (layout, schema, n, _head_mask(declared, n, layout, schema))
-        return memo[3].copy()
-    ids = declared.ids(layout, n)
+        if memo is None or memo[0] is not layout or memo[1] is not schema:
+            memo = declared.head_memo = (layout, schema, _head_mask(declared, layout, schema))
+        return memo[2].copy()
+    ids = declared.ids(layout)
     mask = np.zeros(layout.V, dtype=bool)
     if state.phase is Phase.NODE:
         mask[: layout.n_span_ids] = layout.realizable[: layout.n_span_ids]
@@ -197,14 +151,14 @@ def legal_mask(state: DecodeState, layout: VocabLayout, schema: Schema) -> np.nd
     return mask
 
 
-def _head_mask(declared: _Declared, n: int, layout: VocabLayout, schema: Schema) -> np.ndarray:
+def _head_mask(declared: _Declared, layout: VocabLayout, schema: Schema) -> np.ndarray:
     """END plus every declared entity that some other declared entity can follow as tail.
 
     A head of type a is viable when the entities of the types b that a
     relation allows after a (``pairs[a, b]``), less the head itself when
     b == a, number at least one.
     """
-    ids = declared.ids(layout, n)
+    ids = declared.ids(layout)
     types = ids % layout.C
     pairs = schema.relation_table.any(axis=2)  # (C, C): some relation goes from type a to b
     viable = pairs @ np.bincount(types, minlength=layout.C) > pairs.diagonal()
@@ -225,36 +179,36 @@ def advance(state: DecodeState, sym: Symbol) -> DecodeState:
         raise FinishedState("decoding already emitted END")
     if sym is START:
         raise IllegalTransition("START is input-only")
-    declared, n = state._declared, state._n
+    declared = state._declared
     if state.phase is Phase.NODE:
         if sym is SEP:
-            return _state(Phase.HEAD, declared, n)
+            return DecodeState(Phase.HEAD, declared)
         if isinstance(sym, SpanSym):
-            if declared.holds(sym, n):
+            if sym in declared.index:
                 raise IllegalTransition(f"span {sym} already generated")
-            return _state(Phase.NODE, declared.extended(n, sym), n + 1)
+            return DecodeState(Phase.NODE, declared.extended(sym))
         raise IllegalTransition(f"{sym} not legal in NODE")
     if state.phase is Phase.HEAD:
         if sym is END:
-            return _state(Phase.HEAD, declared, n, finished=True)
+            return DecodeState(Phase.HEAD, declared, finished=True)
         if isinstance(sym, SpanSym):
-            if not declared.holds(sym, n):
+            if sym not in declared.index:
                 raise IllegalTransition(f"head {sym} was not declared as an entity")
-            if n < 2:
+            if len(declared.spans) < 2:
                 raise IllegalTransition("a relation needs at least two entities")
-            return _state(Phase.TAIL, declared, n, head=sym)
+            return DecodeState(Phase.TAIL, declared, sym)
         raise IllegalTransition(f"{sym} not legal in HEAD")
     if state.phase is Phase.TAIL:
         if isinstance(sym, SpanSym):
-            if not declared.holds(sym, n):
+            if sym not in declared.index:
                 raise IllegalTransition(f"tail {sym} was not declared as an entity")
             if sym == state.pending_head:
                 raise IllegalTransition("tail must differ from head")
-            return _state(Phase.REL, declared, n, state.pending_head, sym)
+            return DecodeState(Phase.REL, declared, state.pending_head, sym)
         raise IllegalTransition(f"{sym} not legal in TAIL")
     # REL
     if isinstance(sym, RelSym):
-        return _state(Phase.HEAD, declared, n)
+        return DecodeState(Phase.HEAD, declared)
     raise IllegalTransition(f"{sym} not legal in REL")
 
 

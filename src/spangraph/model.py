@@ -25,6 +25,7 @@ the arithmetic of a sentence decoded alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -53,6 +54,24 @@ _EMBED_TABLES = frozenset(
 _BIAS_SUFFIXES = (".g", ".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer_fields(config, *names: str) -> None:
+    """Raise ValueError naming the first field in ``names`` that is not an integer.
+
+    Stores each one as a Python int: a numpy integer is not JSON, and
+    checkpoints keep their configs as JSON.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_model: int = 64
@@ -67,6 +86,8 @@ class ModelConfig:
     use_structure: bool = True
 
     def __post_init__(self):
+        check_integer_fields(self, "d_model", "enc_layers", "dec_layers", "heads",
+                             "max_span_width", "max_positions")
         if self.heads < 1:
             raise ValueError(f"heads must be at least 1, got {self.heads}")
         if self.d_model <= 0 or self.d_model % self.heads:
@@ -149,6 +170,10 @@ class DecodeCache:
     @property
     def groups(self) -> int:
         return self.keys[0].shape[0]
+
+    @property
+    def rows(self) -> int:
+        return self.keys[0].shape[-1]
 
 
 def _positions(lengths) -> np.ndarray:
@@ -385,6 +410,9 @@ class Model:
             n_seq, block = cache.groups, None
             cross_groups = (n_seq, None)
         end = start + x.shape[0] // n_seq
+        # a write past the last row would land in an empty slice unnoticed
+        if cache is not None and end > cache.rows:
+            raise ValueError(f"decoding to row {end} overflows a cache of {cache.rows} rows")
         causal = None  # one query row per prefix attends to every key
         if end - start > 1:
             causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]

@@ -262,6 +262,7 @@ def test_criterion_06_masked_softmax_zeroes_and_normalizes():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_toy_corpus_overfit_and_heldout(toy_corpus, tmp_path):
     t0 = time.time()
     train, dev, test, vocab = toy_corpus
@@ -288,6 +289,7 @@ def test_criterion_07_toy_corpus_overfit_and_heldout(toy_corpus, tmp_path):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_directions(toy_corpus):
     train, dev, _, vocab = toy_corpus
     steps, dropout = 1200, 0.1

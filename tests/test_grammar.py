@@ -207,6 +207,43 @@ class TestAdvance:
             advance(s, SEP)
 
 
+class TestStateRecord:
+    def test_each_entity_id_is_computed_once_along_a_node_walk(self, monkeypatch):
+        schema = make_schema(2, 2)
+        layout = build_layout(100, schema, 3)
+        calls = []
+
+        def counting(layout, sym):
+            calls.append(sym)
+            return symbol_to_id(layout, sym)
+
+        monkeypatch.setattr(grammar, "symbol_to_id", counting)
+        state = initial_state()
+        spans = [SpanSym(i, i, i % 2) for i in range(54)]
+        for span in spans:
+            mask = legal_mask(state, layout, schema)
+            assert mask[symbol_to_id(layout, span)]
+            state = advance(state, span)
+        mask = legal_mask(state, layout, schema)
+        assert not mask[[symbol_to_id(layout, s) for s in spans]].any()
+        assert calls == spans
+
+    def test_no_attribute_can_be_set(self):
+        state = initial_state()
+        for sym in (SpanSym(0, 0, 0), SpanSym(1, 1, 0), SEP, SpanSym(0, 0, 0)):
+            state = advance(state, sym)
+        for name in ("phase", "generated", "pending_head", "pending_tail", "finished",
+                     "_declared", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
+        assert state.phase is Phase.TAIL
+        assert state.generated == (SpanSym(0, 0, 0), SpanSym(1, 1, 0))
+        assert state.pending_head == SpanSym(0, 0, 0)
+        assert repr(state).startswith(
+            "DecodeState(phase=<Phase.TAIL: 2>, generated=(SpanSym(")
+        assert DecodeState().phase is Phase.NODE and DecodeState().generated == ()
+
+
 class TestReplay:
     def test_worked_sequence(self):
         states, final = replay(WORKED_SEQ)

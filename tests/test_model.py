@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -55,6 +56,17 @@ class TestModelConfig:
     def test_dtype_whitelist(self):
         with pytest.raises(ValueError):
             ModelConfig(dtype="float16")
+
+    def test_size_fields_must_be_integers(self):
+        for name in ("d_model", "enc_layers", "dec_layers", "heads", "max_span_width",
+                     "max_positions"):
+            default = getattr(ModelConfig(), name)
+            for value in (float(default), True, str(default), None):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    ModelConfig(**{name: value})
+            cfg = ModelConfig(**{name: np.int64(default)})
+            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == default
+        json.dumps(dataclasses.asdict(ModelConfig(d_model=np.int32(32))))
 
     def test_ablation_flags_default_on(self):
         cfg = ModelConfig()
@@ -371,6 +383,20 @@ class TestIncrementalDecoding:
         assert rt.cache.length == ref.cache.length == 2
         np.testing.assert_array_equal(rt.step_logits(ids[2, kept], labels[2, kept]),
                                       ref.step_logits(ids[2, kept], labels[2, kept]))
+
+    def test_step_past_the_last_cache_row_is_rejected(self, two_type_schema):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        layout = build_layout(3, two_type_schema, 3)
+        rt = DecodeRuntime(m, np.array([[1, 2, 3]]), 2)
+        for sym_id in (layout.start_id, 0):
+            rt.step_logits(np.array([sym_id]), np.array([0]))
+        keys = [k.copy() for k in rt.cache.keys]
+        values = [v.copy() for v in rt.cache.values]
+        with pytest.raises(ValueError, match="row 3 overflows a cache of 2 rows"):
+            rt.step_logits(np.array([layout.sep_id]), np.array([0]))
+        assert rt.cache.length == 2
+        for a, b in zip(rt.cache.keys + rt.cache.values, keys + values):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDecodeStepMemory:

@@ -101,6 +101,12 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="betas"):
                 TrainConfig(betas=betas)
         TrainConfig(betas=(0.0, 0.0))
+        for name in ("max_steps", "batch_size", "max_sentences", "eval_every"):
+            for value in (2.5, 1.0, True, "1", None):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    TrainConfig(**{name: value})
+            cfg = TrainConfig(**{name: np.int64(2)})
+            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
         for seed in (-1, 1.0, True, "1", None):
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 TrainConfig(seed=seed)
