@@ -76,6 +76,8 @@ def record_to_example(rec: dict, schema: Schema, where: str) -> tuple[Document, 
         raise ParseError(f"{where}: record missing field {e}") from e
     except TypeError as e:
         raise ParseError(f"{where}: malformed record: {e}") from e
+    except GraphError as e:  # an invalid Document, before the generic ValueError
+        raise ValidationError(f"{where}: {e}") from e
     except ValueError as e:
         raise SchemaMismatch(f"{where}: {e}") from e
     return doc, IEGraph(entities, relations)

@@ -10,8 +10,8 @@ embedding is the pointing table, there is no separate softmax weight).
 The ``Tensor`` layer code (``encode`` / ``span_embeddings`` /
 ``decode_hidden``) is the only definition of the network.  Training runs it
 over whole teacher-forced prefixes; generation runs the same methods under
-``no_grad`` one row per sentence and step, with a ``DecodeCache`` of
-key/value rows, via ``DecodeRuntime``.
+``no_grad`` one row per sentence and step via ``DecodeRuntime``, which holds
+the key/value rows.
 
 Several examples run as one forward: their token rows and decoder rows are
 concatenated, and the layer methods take the per-example row counts
@@ -148,32 +148,6 @@ class AttnTrace:
 
     self_attn: list[np.ndarray] = field(default_factory=list)
     cross_attn: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass
-class DecodeCache:
-    """Per-layer keys/values that let ``decode_hidden`` extend G prefixes in place.
-
-    Every array is in ``tensor.attention``'s head layout (``split_heads``),
-    so a step attends over it in place.  ``cross`` holds each layer's
-    cross-attention keys (G, heads, dk, L) and values (G, heads, L, dk) over
-    the G sentences' encoder rows, computed and split once; ``keys`` are
-    (G, heads, dk, rows) and ``values`` (G, heads, rows, dk) self-attention
-    rows, the first ``length`` of each prefix filled.
-    """
-
-    cross: list[tuple[Tensor, Tensor]]
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
-    length: int = 0
-
-    @property
-    def groups(self) -> int:
-        return self.keys[0].shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.keys[0].shape[-1]
 
 
 def _positions(lengths) -> np.ndarray:
@@ -389,7 +363,7 @@ class Model:
 
     def decode_hidden(self, x: Tensor, H: Tensor | None, train: bool = False, rng=None,
                       trace: AttnTrace | None = None,
-                      cache: DecodeCache | None = None,
+                      cache: DecodeRuntime | None = None,
                       sym_lens=None, tok_lens=None) -> Tensor:
         """Decoder states for input rows ``x``, attending causally and to ``H``.
 
@@ -406,13 +380,14 @@ class Model:
             n_seq, block = _attention_groups(sym_lens, sym_lens)
             cross_groups = _attention_groups(sym_lens, tok_lens)
         else:
-            start, cross = cache.length, cache.cross
-            n_seq, block = cache.groups, None
+            start, block = cache.length, None
+            cross = [(Tensor(k), Tensor(v)) for k, v in cache.cross]
+            n_seq, *_, rows = cache.keys[0].shape
             cross_groups = (n_seq, None)
         end = start + x.shape[0] // n_seq
         # a write past the last row would land in an empty slice unnoticed
-        if cache is not None and end > cache.rows:
-            raise ValueError(f"decoding to row {end} overflows a cache of {cache.rows} rows")
+        if cache is not None and end > rows:
+            raise ValueError(f"decoding to row {end} overflows a cache of {rows} rows")
         causal = None  # one query row per prefix attends to every key
         if end - start > 1:
             causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]
@@ -522,45 +497,44 @@ class DecodeRuntime:
     """Generation state of B same-length sentences over ``Model``'s own layer code.
 
     ``token_ids`` is (B, L).  Set-up encodes the B*L token rows in one pass
-    and allocates ``cache``, a ``DecodeCache`` for ``rows`` symbols per
-    sentence that holds the cross-attention keys and values.  ``step_logits``
-    feeds one symbol per sentence through ``decode_hidden`` at position
-    ``cache.length``, and ``keep`` drops sentences from E and the cache
-    together.  ``prefix_logits`` replays whole prefixes into a fresh cache.
-    Everything runs under shape-stable kernels with attention grouped per
-    sentence, so each sentence's logits do not depend on the others in its
-    batch, and a cached decode reproduces the recompute bit for bit.
+    into ``E`` (B, V, D), each sentence's own vocabulary.  The runtime is
+    also the key/value cache that ``decode_hidden`` reads and extends, every
+    array in ``tensor.attention``'s head layout (``split_heads``): ``cross``
+    holds each layer's cross-attention keys (B, heads, dk, L) and values
+    (B, heads, L, dk), computed once; ``keys`` (B, heads, dk, rows) and
+    ``values`` (B, heads, rows, dk) hold self-attention rows, the first
+    ``length`` of each sentence filled.  ``step_logits`` feeds one symbol per
+    sentence at position ``length``, ``keep`` drops sentences from E and the
+    cache together, and ``prefix_logits`` replays whole prefixes into the same
+    rows from position 0.  Everything runs under shape-stable kernels with
+    attention grouped per sentence, so each sentence's logits do not depend on
+    the others in its batch, and a cached decode reproduces the recompute bit
+    for bit.
     """
 
     def __init__(self, model: Model, token_ids: np.ndarray, rows: int):
         self.model = model
         n_seq, n_tok = token_ids.shape
         tok_lens = [n_tok] * n_seq
+        heads = model.config.heads
+        dk = model.config.d_model // heads
         with T.no_grad(), T.rowwise_kernels():
             H = model.encode(token_ids.reshape(-1), tok_lens=tok_lens)
             spans = model.span_embeddings(H, tok_lens).data
-            # (B, V, D): each sentence's own vocabulary
             self.E = np.stack([model.build_E(Tensor(s)).data
                                for s in np.split(spans, n_seq)])
-            heads = model.config.heads
-            cross = [(Tensor(T.split_heads(k.data, n_seq, heads, True)),
-                      Tensor(T.split_heads(v.data, n_seq, heads))) for k, v in model.cross_kv(H)]
-            self._fresh_cache(cross, rows)
-
-    def _fresh_cache(self, cross: list[tuple[Tensor, Tensor]], rows: int) -> None:
-        n_seq, heads = self.E.shape[0], self.model.config.heads
-        dk = self.model.config.d_model // heads
-        self.cache = DecodeCache(
-            cross, [np.empty((n_seq, heads, dk, rows), self.E.dtype) for _ in cross],
-            [np.empty((n_seq, heads, rows, dk), self.E.dtype) for _ in cross])
+            self.cross = [(T.split_heads(k.data, n_seq, heads, True),
+                           T.split_heads(v.data, n_seq, heads)) for k, v in model.cross_kv(H)]
+        self.keys = [np.empty((n_seq, heads, dk, rows), self.E.dtype) for _ in self.cross]
+        self.values = [np.empty((n_seq, heads, rows, dk), self.E.dtype) for _ in self.cross]
+        self.length = 0
 
     def keep(self, rows) -> None:
         """Drop every sentence but ``rows`` (indices) from E and the cache."""
-        cache = self.cache
-        cache.cross = [tuple(Tensor(t.data[rows]) for t in kv) for kv in cache.cross]
-        cache.keys = [k[rows] for k in cache.keys]
-        cache.values = [v[rows] for v in cache.values]
         self.E = self.E[rows]
+        self.cross = [(k[rows], v[rows]) for k, v in self.cross]
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
 
     def step_logits(self, sym_ids, labels) -> np.ndarray:
         """Extend the cache by one input symbol per sentence; next-symbol logits.
@@ -572,21 +546,21 @@ class DecodeRuntime:
         rows = np.arange(n_seq) * n_vocab + sym_ids
         with T.no_grad(), T.rowwise_kernels():
             x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows, labels,
-                                          start=self.cache.length, sym_lens=[1] * n_seq)
-            z = self.model.decode_hidden(x, None, cache=self.cache)
+                                          start=self.length, sym_lens=[1] * n_seq)
+            z = self.model.decode_hidden(x, None, cache=self)
             # (B, 1, D) @ (B, D, V), each sentence's E^T a transposed view
             return T.matmul_np(z.data[:, None, :], self.E.transpose(0, 2, 1))[:, 0]
 
     def prefix_logits(self, ids, labels) -> np.ndarray:
-        """Recompute whole prefixes into a fresh cache; logits after their last symbol.
+        """Recompute whole prefixes from position 0; logits after their last symbol.
 
-        ``ids``/``labels`` are (B, t); the logits are (B, V).  The fresh cache
-        replaces the runtime's.
+        ``ids``/``labels`` are (B, t); the logits are (B, V).  The prefixes
+        overwrite the cache's first t rows, and ``length`` ends at t.
         """
         ids, labels = np.asarray(ids), np.asarray(labels)
         if ids.shape[1] == 0:
             raise ValueError("empty prefix")
-        self._fresh_cache(self.cache.cross, ids.shape[1])
+        self.length = 0
         for pos in range(ids.shape[1]):
             logits = self.step_logits(ids[:, pos], labels[:, pos])
         return logits

@@ -26,7 +26,7 @@ from .fileio import atomic_write
 from .graph import Document, EntitySpan, IEGraph, Relation
 from .grammar import legal_mask, replay
 from .linearize import Ordering, linearize
-from .model import Model, check_integer_fields, decay_excluded, is_integer, param_group
+from .model import Model, check_integer_fields, decay_excluded, param_group
 from .vocab import N_SPECIALS, build_layout, symbol_to_id
 
 
@@ -75,13 +75,15 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        # numpy seeds its generators from non-negative integers only
-        if not (is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         check_integer_fields(self, "max_steps", "batch_size", "max_sentences", "eval_every",
                              "seed")
         if self.max_steps < 1 or self.batch_size < 1 or self.max_sentences < 1:
             raise ValueError("max_steps, batch_size and max_sentences must be positive")
+        # eval_every 0 turns dev evaluation off; numpy seeds its generators
+        # from non-negative integers only
+        for name in ("eval_every", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 < self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie strictly between 0 and 1")
         if self.clip_norm is not None and not self.clip_norm > 0.0:

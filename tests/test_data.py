@@ -164,6 +164,14 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match=":2:"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize("tokens", [[], [1, 2], ["a", ""]])
+    def test_invalid_document_is_validation_error(self, tmp_path, tokens):
+        p = tmp_path / "d.jsonl"
+        rec = {"id": "d", "tokens": tokens, "entities": [], "relations": []}
+        write_lines(p, [header_line(), json.dumps(rec)])
+        with pytest.raises(ValidationError, match=r"d\.jsonl:2: document"):
+            load_dataset(str(p))
+
     def test_missing_field(self, tmp_path):
         p = tmp_path / "l.jsonl"
         write_lines(p, [header_line(), '{"id": "d"}'])

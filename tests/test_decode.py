@@ -312,7 +312,7 @@ class TestLockstep:
 
         def spy(runtime, *args):
             init(runtime, *args)
-            keys = runtime.cache.keys[0]  # (sentences, heads, dk, rows)
+            keys = runtime.keys[0]  # (sentences, heads, dk, rows)
             sizes.append((keys.shape[0], keys.shape[-1]))
 
         monkeypatch.setattr(decode.DecodeRuntime, "__init__", spy)

@@ -323,7 +323,7 @@ class TestDecodeHidden:
         token_ids = np.array([1, 2, 3])
         ids = np.array([20, 5, 9, 13, 2])
         labels = np.array([0, 0, 0, 1, 1])
-        cache = DecodeRuntime(m, token_ids[None], len(ids)).cache
+        cache = DecodeRuntime(m, token_ids[None], len(ids))
         with T.no_grad():
             H = m.encode(token_ids)
             E = m.build_E(m.span_embeddings(H))
@@ -354,13 +354,39 @@ class TestIncrementalDecoding:
         layout = build_layout(3, two_type_schema, 3)
         ids = np.array([[layout.start_id, 0, 5, layout.sep_id]])
         labels = np.zeros_like(ids)
-        # prefix_logits replaces its runtime's cache, so the recompute gets its own
+        # prefix_logits rewrites its runtime's cache rows, so the recompute gets its own
         rt = DecodeRuntime(m, token_ids[None], ids.shape[1])
         ref = DecodeRuntime(m, token_ids[None], ids.shape[1])
         for i in range(ids.shape[1]):
             inc = rt.step_logits(ids[:, i], labels[:, i])
             slow = ref.prefix_logits(ids[:, : i + 1], labels[:, : i + 1])
             np.testing.assert_array_equal(inc, slow)
+
+    def test_prefix_replays_into_the_runtime_rows(self, two_type_schema):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        layout = build_layout(3, two_type_schema, 3)
+        token_ids = np.array([[1, 2, 3], [3, 1, 2]])
+        ids = np.array([[layout.start_id] * 2, [0, 5], [layout.sep_id, 1], [2, 7]]).T
+        labels = np.zeros_like(ids)
+        rt = DecodeRuntime(m, token_ids, 6)
+        rt.step_logits(ids[:, 0], labels[:, 0])  # rows the replay must overwrite
+        keys, values = list(rt.keys), list(rt.values)
+        rt.prefix_logits(ids[:, :3], labels[:, :3])
+        assert rt.length == 3
+        assert all(a is b for a, b in zip(rt.keys + rt.values, keys + values))
+        ref = DecodeRuntime(m, token_ids, 6)
+        for i in range(3):
+            ref.step_logits(ids[:, i], labels[:, i])
+        np.testing.assert_array_equal(rt.step_logits(ids[:, 3], labels[:, 3]),
+                                      ref.step_logits(ids[:, 3], labels[:, 3]))
+
+    def test_prefix_past_the_last_cache_row_is_rejected(self, two_type_schema):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        layout = build_layout(3, two_type_schema, 3)
+        rt = DecodeRuntime(m, np.array([[1, 2, 3]]), 2)
+        ids = np.array([[layout.start_id, 0, layout.sep_id]])
+        with pytest.raises(ValueError, match="row 3 overflows a cache of 2 rows"):
+            rt.prefix_logits(ids, np.zeros_like(ids))
 
     def test_keep_matches_a_runtime_of_the_kept_sentences(self, two_type_schema):
         m = tiny_model(two_type_schema, dec_layers=2)
@@ -377,10 +403,10 @@ class TestIncrementalDecoding:
         for i in range(2):
             ref.step_logits(ids[i, kept], labels[i, kept])
         np.testing.assert_array_equal(rt.E, ref.E)
-        for kv, ref_kv in zip(rt.cache.cross, ref.cache.cross):
+        for kv, ref_kv in zip(rt.cross, ref.cross):
             for t, ref_t in zip(kv, ref_kv):
                 np.testing.assert_array_equal(t.data, ref_t.data)
-        assert rt.cache.length == ref.cache.length == 2
+        assert rt.length == ref.length == 2
         np.testing.assert_array_equal(rt.step_logits(ids[2, kept], labels[2, kept]),
                                       ref.step_logits(ids[2, kept], labels[2, kept]))
 
@@ -390,12 +416,12 @@ class TestIncrementalDecoding:
         rt = DecodeRuntime(m, np.array([[1, 2, 3]]), 2)
         for sym_id in (layout.start_id, 0):
             rt.step_logits(np.array([sym_id]), np.array([0]))
-        keys = [k.copy() for k in rt.cache.keys]
-        values = [v.copy() for v in rt.cache.values]
+        keys = [k.copy() for k in rt.keys]
+        values = [v.copy() for v in rt.values]
         with pytest.raises(ValueError, match="row 3 overflows a cache of 2 rows"):
             rt.step_logits(np.array([layout.sep_id]), np.array([0]))
-        assert rt.cache.length == 2
-        for a, b in zip(rt.cache.keys + rt.cache.values, keys + values):
+        assert rt.length == 2
+        for a, b in zip(rt.keys + rt.values, keys + values):
             np.testing.assert_array_equal(a, b)
 
 
@@ -407,17 +433,17 @@ class TestDecodeStepMemory:
         m = tiny_model(two_type_schema, d_model=32, heads=2, max_positions=rows)
         layout = build_layout(3, two_type_schema, 3)
         rt = DecodeRuntime(m, np.array([[1, 2, 3]]), rows)
-        for a in rt.cache.keys + rt.cache.values:
+        for a in rt.keys + rt.values:
             a.fill(0.25)
-        rt.cache.length = rows - 1
+        rt.length = rows - 1
         tracemalloc.start()
         try:
             rt.step_logits(np.array([layout.sep_id]), np.array([0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rt.cache.length == rows
-        assert peak < rt.cache.keys[0].nbytes
+        assert rt.length == rows
+        assert peak < rt.keys[0].nbytes
 
 
 class TestCheckpoint:

@@ -101,18 +101,18 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="betas"):
                 TrainConfig(betas=betas)
         TrainConfig(betas=(0.0, 0.0))
-        for name in ("max_steps", "batch_size", "max_sentences", "eval_every"):
+        for name in ("max_steps", "batch_size", "max_sentences", "eval_every", "seed"):
             for value in (2.5, 1.0, True, "1", None):
                 with pytest.raises(ValueError, match=f"{name} must be an integer"):
                     TrainConfig(**{name: value})
             cfg = TrainConfig(**{name: np.int64(2)})
             assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
-        for seed in (-1, 1.0, True, "1", None):
-            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-                TrainConfig(seed=seed)
-        cfg = TrainConfig(seed=np.int64(3))
-        assert type(cfg.seed) is int and cfg.seed == 3
-        json.dumps(cfg.to_meta())
+            json.dumps(cfg.to_meta())
+        for name in ("eval_every", "seed"):
+            for value in (-1, -5, np.int64(-2)):
+                with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+                    TrainConfig(**{name: value})
+            assert getattr(TrainConfig(**{name: 0}), name) == 0
 
     def test_meta_round_trip(self):
         cfg = TrainConfig(max_steps=77, batch_size=3, max_sentences=2,
