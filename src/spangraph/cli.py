@@ -224,8 +224,19 @@ def cmd_generate(args) -> int:
     return 1 if None in results else 0
 
 
+def _decode_record(results: list[GenerationResult | None]) -> dict:
+    """Truncation and sequence length over the documents that were decoded."""
+    done = [res for res in results if res is not None]
+    n = len(done)
+    truncated = sum(res.truncated for res in done)
+    return {"metric": "decode", "documents": n, "truncated": truncated,
+            "truncated_frac": truncated / max(1, n),
+            "mean_symbols": sum(len(res.ids) for res in done) / max(1, n)}
+
+
 def cmd_evaluate(args) -> int:
     failed = False
+    results = None
     if args.checkpoint and args.data:
         model, _, _ = Model.load(args.checkpoint)
         ds = load_dataset(args.data)
@@ -258,6 +269,8 @@ def cmd_evaluate(args) -> int:
             "metric": metric, "tp": counts.tp, "pred": counts.n_pred,
             "gold": counts.n_gold, "precision": p, "recall": r, "f1": f1,
         })
+    if results is not None:
+        records.append(_decode_record(results))
     lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
     for line in lines:
         print(line)

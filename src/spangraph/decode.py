@@ -26,11 +26,14 @@ from .model import AttnTrace, DecodeRuntime, Model, TooLong, is_integer
 from .tensor import masked_softmax_np, no_grad, rowwise_kernels
 from .vocab import build_layout, id_to_symbol, symbol_to_id
 
-# A lockstep batch holds at most this many self-attention cache rows per
-# layer (sentences x length budget): 512 KB of keys and values at d_model 64
-# with two float32 decoder layers.  Larger caps decode short sentences
-# faster but raise peak memory; CHANGES.md has the measurements.
-BATCH_CACHE_ROWS = 512
+# A lockstep batch's DecodeRuntime holds at most this many bytes: per
+# sentence its vocabulary rows E, each decoder layer's cross keys/values and
+# its self-attention cache (``DecodeRuntime.sentence_nbytes``).  At d_model
+# 64 with two float32 decoder layers a 100-token input holds 654 KB (3 per
+# batch) and a 6-token one 43 KB (47 per batch).  A sweep of 1, 1.5, 2 and
+# 3 MiB kept the largest cap that raised peak memory by at most 5%;
+# CHANGES.md has the measurements.
+BATCH_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig):
     """Yield (index, result) for every document that fits the model, batch by batch.
 
     Documents are grouped by token count, and each group is split into
-    batches of at most ``BATCH_CACHE_ROWS`` cache rows.
+    batches whose runtime holds at most ``BATCH_BYTES``.
     """
     by_length: dict[int, list[int]] = {}
     for i, doc in enumerate(docs):
@@ -206,7 +209,7 @@ def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig):
             by_length.setdefault(len(doc), []).append(i)
     for n_tokens, group in by_length.items():
         budget = _length_budget(model, config, n_tokens)
-        size = max(1, BATCH_CACHE_ROWS // max(1, budget))
+        size = max(1, BATCH_BYTES // DecodeRuntime.sentence_nbytes(model, n_tokens, budget))
         for at in range(0, len(group), size):
             batch = group[at:at + size]
             yield from zip(batch, _decode_lockstep(model, [docs[i] for i in batch], config,

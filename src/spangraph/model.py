@@ -33,7 +33,7 @@ import numpy as np
 from . import tensor as T
 from .graph import Schema
 from .tensor import Tensor
-from .vocab import N_SPECIALS
+from .vocab import N_SPECIALS, build_layout
 
 
 class TooLong(ValueError):
@@ -511,6 +511,19 @@ class DecodeRuntime:
     the others in its batch, and a cached decode reproduces the recompute bit
     for bit.
     """
+
+    @staticmethod
+    def sentence_nbytes(model: Model, n_tokens: int, rows: int) -> int:
+        """Bytes one sentence of ``n_tokens`` tokens with ``rows`` cache rows holds.
+
+        That is its rows of ``E`` (V = L*K*C + 3 + R), each decoder layer's
+        cross keys and values (2L rows) and self-attention cache (2 * rows),
+        each row ``d_model`` wide: the sum of those arrays' ``nbytes`` / B.
+        """
+        cfg = model.config
+        n_vocab = build_layout(n_tokens, model.schema, cfg.max_span_width).V
+        width = cfg.d_model * np.dtype(cfg.np_dtype).itemsize
+        return width * (n_vocab + 2 * cfg.dec_layers * (n_tokens + rows))
 
     def __init__(self, model: Model, token_ids: np.ndarray, rows: int):
         self.model = model

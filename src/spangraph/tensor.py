@@ -309,11 +309,14 @@ def softmax_last_dim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 def _mean_last(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=-1, keepdims=True)``, bit for bit, without numpy's Python wrapper.
 
-    Like numpy, it divides the sum by the count as an intp: the quotient is
-    taken in float64 and rounded back to the array's dtype.
+    numpy divides the sum by the count as an intp, in float64, and rounds the
+    quotient back to the array's dtype.  Here the count is a Python int, which
+    numpy casts to the array's own dtype, and the division gives the same
+    bits: float64 has 53 >= 2 * 24 + 2 mantissa bits, so a float64 quotient
+    rounded to float32 is the float32 quotient.
     """
     total = np.add.reduce(a, axis=-1, keepdims=True)
-    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+    return np.divide(total, a.shape[-1], out=total)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

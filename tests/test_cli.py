@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from spangraph.cli import main
-from spangraph.data import load_dataset
+from spangraph.data import Dataset, load_dataset, save_dataset
+from spangraph.decode import DecodeConfig, generate_batch
+from spangraph.graph import Document, EntitySpan, IEGraph
+from _helpers import make_schema, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +146,6 @@ class TestTooLong:
 
     @pytest.fixture
     def with_long(self, workdir, tmp_path):
-        from spangraph.data import Dataset, save_dataset
-        from spangraph.graph import Document, EntitySpan, IEGraph
-
         test = load_dataset(workdir["test"])
         long_doc = Document(("w",) * 600, id="too-long")
         long_gold = IEGraph((EntitySpan(0, 0, 0),), ())
@@ -205,6 +205,32 @@ class TestEvaluate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ENT" in out and "REL+" in out
+
+    def test_checkpoint_route_reports_decoding(self, tmp_path, capsys):
+        # an untrained model decodes long, often truncated sequences
+        model = tiny_model(make_schema(2, 2), words=("a", "b", "c"), seed=3)
+        ckpt = str(tmp_path / "ckpt.npz")
+        model.save(ckpt)
+        docs = [Document(("a", "b", "c", "a")[:n], id=f"d{n}") for n in (1, 2, 3, 4, 4)]
+        data = str(tmp_path / "data.jsonl")
+        save_dataset(data, Dataset(model.schema, model.config.max_span_width,
+                                   tuple((doc, IEGraph((), ())) for doc in docs)))
+        report_path = str(tmp_path / "report.jsonl")
+        rc = main(["evaluate", "--checkpoint", ckpt, "--data", data, "--max-len", "9",
+                   "--report", report_path])
+        assert rc == 0
+        json_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
+        assert open(report_path).read() == "\n".join(json_lines) + "\n"
+        records = [json.loads(l) for l in json_lines]
+        assert [r["metric"] for r in records] == ["ent", "rel", "rel_strict", "decode"]
+        want = generate_batch(model, docs, DecodeConfig(max_len=9))
+        n_truncated = sum(res.truncated for res in want)
+        assert 0 < n_truncated < len(docs)
+        assert records[-1] == {
+            "metric": "decode", "documents": len(docs), "truncated": n_truncated,
+            "truncated_frac": n_truncated / len(docs),
+            "mean_symbols": sum(len(res.ids) for res in want) / len(docs),
+        }
 
     def test_needs_one_route(self, capsys):
         rc = main(["evaluate"])

@@ -289,8 +289,9 @@ class TestLockstep:
         lengths = [3, 5, 4, 3, 5, 3, 4, 3, 3, 5, 3]
         docs = self._docs(lengths)
         alone = [generate(m, doc) for doc in docs]
-        # length budgets are 15, 19 and 23 symbols: two L=3 sentences per batch
-        monkeypatch.setattr(decode, "BATCH_CACHE_ROWS", 30)
+        # length budgets are 15, 19 and 23 symbols, so a sentence holds 6,080,
+        # 7,744 and 9,408 bytes: two L=3 sentences per batch
+        monkeypatch.setattr(decode, "BATCH_BYTES", 14_000)
         batches = []
         run = decode._decode_lockstep
 
@@ -318,6 +319,35 @@ class TestLockstep:
         monkeypatch.setattr(decode.DecodeRuntime, "__init__", spy)
         predict(m, self._docs([3, 3, 4]))
         assert sorted(sizes) == [(1, 19), (2, 15)]
+
+
+class TestBatchBytes:
+    """The byte cap counts exactly what a runtime allocates."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dec_layers", [1, 3])
+    @pytest.mark.parametrize("n_tokens,rows", [(1, 1), (3, 15), (7, 4), (12, 51)])
+    def test_runtime_nbytes_are_the_per_sentence_figure(self, dtype, dec_layers, n_tokens, rows):
+        m = tiny_model(make_schema(3, 2), words=("a", "b"), dec_layers=dec_layers, dtype=dtype)
+        n_seq = 3
+        runtime = decode.DecodeRuntime(m, np.ones((n_seq, n_tokens), dtype=np.int64), rows)
+        held = (runtime.E.nbytes + sum(k.nbytes + v.nbytes for k, v in runtime.cross)
+                + sum(a.nbytes for a in runtime.keys + runtime.values))
+        assert held == n_seq * decode.DecodeRuntime.sentence_nbytes(m, n_tokens, rows)
+
+    def test_long_inputs_share_a_batch_at_the_benchmark_config(self, monkeypatch):
+        m = tiny_model(make_schema(2, 2), words=("a", "b"), d_model=64, enc_layers=2,
+                       dec_layers=2, heads=4, dtype="float32", max_positions=512)
+        sizes = []
+
+        def spy(model, batch_docs, *args, **kwargs):
+            sizes.append(len(batch_docs))
+            return [None] * len(batch_docs)
+
+        monkeypatch.setattr(decode, "_decode_lockstep", spy)
+        docs = [make_doc(100, f"d{i}") for i in range(8)]
+        assert len(list(decode._decode_batches(m, docs, DecodeConfig()))) == 8
+        assert min(sizes) >= 2 and sum(sizes) == 8
 
 
 class TestTooLong:

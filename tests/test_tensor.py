@@ -7,6 +7,7 @@ import pytest
 
 from spangraph import tensor as T
 from _gradcheck import check_op
+from _helpers import reference_mean_last
 
 
 class TestNumpyKernels:
@@ -190,6 +191,37 @@ class TestLinear:
         x, w, b = (T.Tensor(np.zeros(s)) for s in shapes)
         with pytest.raises(T.ShapeMismatch):
             T.linear(x, w, b)
+
+
+class TestMeanLast:
+    """``_mean_last`` divides in the array's dtype and keeps numpy's float64-quotient bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [7, 64, 100, 256])
+    def test_bit_equal_to_the_intp_division(self, rng, dtype, d):
+        for scale in (1e-3, 1.0, 1e4):
+            a = (scale * rng.standard_normal((500, d))).astype(dtype)
+            got = T._mean_last(a)
+            assert got.dtype == dtype and got.shape == (500, 1)
+            assert got.tobytes() == reference_mean_last(a).tobytes()
+            assert got.tobytes() == a.mean(axis=-1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [7, 64, 100, 256])
+    def test_layer_norm_bit_equal_under_the_oracle(self, rng, monkeypatch, dtype, d):
+        arrays = [rng.standard_normal(s).astype(dtype) for s in ((9, d), (d,), (d,))]
+        proj = rng.standard_normal((9, d)).astype(dtype)
+
+        def run():
+            x, g, b = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = T.layer_norm(x, g, b)
+            T.backward(T.sum_all(T.mul(out, T.Tensor(proj))))
+            return [out.data, x.grad, g.grad, b.grad]
+
+        fast = run()
+        monkeypatch.setattr(T, "_mean_last", reference_mean_last)
+        for got, want in zip(fast, run()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestAutogradValues:
