@@ -138,6 +138,13 @@ def load_dataset(path: str) -> Dataset:
             validate_graph(graph, doc, max_width)
         except GraphError as e:
             raise ValidationError(f"{path}:{lineno}: {e}") from e
+        for r in graph.relations:  # the grammar admits only the schema's allowed pairs
+            head, tail = (graph.entities[i].type_id for i in (r.head, r.tail))
+            if r.rel_type_id not in schema.allowed_relations(head, tail):
+                raise SchemaMismatch(
+                    f"{path}:{lineno}: relation {schema.relation_types[r.rel_type_id]!r} is "
+                    f"not allowed from {schema.entity_types[head]!r} to "
+                    f"{schema.entity_types[tail]!r}")
         examples.append((doc, graph))
     return Dataset(schema, max_width, tuple(examples))
 

@@ -119,16 +119,16 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
                      keep_logits: bool) -> list[GenerationResult]:
     """Decode documents of one token count together, one decoder call per step.
 
-    ``fast`` extends a key/value cache one symbol at a time; with
-    ``fast=False`` the whole prefixes are recomputed from scratch every step.
-    A sentence leaves the batch when it emits END or reaches the length
-    budget, so the work follows the sentences still decoding.
+    ``fast`` extends a key/value cache one symbol at a time, which keeps a row
+    free (the last symbol is never fed); ``fast=False`` runs ``sequence_logits``
+    over each whole prefix every step.  A sentence leaves the batch at END or
+    at the length budget, so the work follows the sentences still decoding.
     """
     n_tokens = len(docs[0])
     layout = build_layout(n_tokens, model.schema, model.config.max_span_width)
     max_len = _length_budget(model, config, n_tokens)
-    runtime = DecodeRuntime(model, np.stack([model.word_vocab.encode(d.tokens) for d in docs]),
-                            max_len)
+    tokens = np.stack([model.word_vocab.encode(d.tokens) for d in docs])
+    runtime = DecodeRuntime(model, tokens, max_len)
     live = list(range(len(docs))) if max_len > 1 else []  # in runtime row order
 
     states = [initial_state() for _ in docs]
@@ -141,7 +141,9 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
             logits = runtime.step_logits(np.array([ids[b][-1] for b in live]),
                                          np.array([labels[b][-1] for b in live]))
         else:
-            logits = runtime.prefix_logits([ids[b] for b in live], [labels[b] for b in live])
+            with no_grad(), rowwise_kernels():
+                logits = np.stack([model.sequence_logits(tokens[b], ids[b], labels[b]).data[-1]
+                                   for b in live])
         masks = np.stack([legal_mask(states[b], layout, model.schema) for b in live])
         if config.mode == "greedy":
             picks = np.argmax(np.where(masks, logits, -np.inf), axis=1).tolist()
@@ -179,9 +181,9 @@ def generate(model: Model, doc: Document, config: DecodeConfig = DecodeConfig(),
              capture_attention: bool = False, fast: bool = True) -> GenerationResult:
     """Decode one document into a graph: the lockstep loop with a batch of one.
 
-    ``fast=False`` recomputes the whole prefix every step instead of using
-    the key/value cache; the two paths give bit-identical logits.  Raises
-    ``TooLong`` when the document has more tokens than ``max_positions``.
+    ``fast=False`` recomputes each step with ``Model.sequence_logits`` instead
+    of the key/value cache; the logits are bit-identical.  Raises ``TooLong``
+    when the document has more tokens than ``max_positions``.
     """
     error = _too_long(model, doc)
     if error is not None:

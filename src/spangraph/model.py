@@ -504,12 +504,12 @@ class DecodeRuntime:
     (B, heads, L, dk), computed once; ``keys`` (B, heads, dk, rows) and
     ``values`` (B, heads, rows, dk) hold self-attention rows, the first
     ``length`` of each sentence filled.  ``step_logits`` feeds one symbol per
-    sentence at position ``length``, ``keep`` drops sentences from E and the
-    cache together, and ``prefix_logits`` replays whole prefixes into the same
-    rows from position 0.  Everything runs under shape-stable kernels with
+    sentence at position ``length``, and ``keep`` drops sentences from E and
+    the cache together.  Everything runs under shape-stable kernels with
     attention grouped per sentence, so each sentence's logits do not depend on
-    the others in its batch, and a cached decode reproduces the recompute bit
-    for bit.
+    the others in its batch and equal ``Model.sequence_logits`` bit for bit,
+    as long as a step leaves a row free: a step that fills the last row reads
+    the keys as one contiguous array, whose product may differ in float64.
     """
 
     @staticmethod
@@ -563,17 +563,3 @@ class DecodeRuntime:
             z = self.model.decode_hidden(x, None, cache=self)
             # (B, 1, D) @ (B, D, V), each sentence's E^T a transposed view
             return T.matmul_np(z.data[:, None, :], self.E.transpose(0, 2, 1))[:, 0]
-
-    def prefix_logits(self, ids, labels) -> np.ndarray:
-        """Recompute whole prefixes from position 0; logits after their last symbol.
-
-        ``ids``/``labels`` are (B, t); the logits are (B, V).  The prefixes
-        overwrite the cache's first t rows, and ``length`` ends at t.
-        """
-        ids, labels = np.asarray(ids), np.asarray(labels)
-        if ids.shape[1] == 0:
-            raise ValueError("empty prefix")
-        self.length = 0
-        for pos in range(ids.shape[1]):
-            logits = self.step_logits(ids[:, pos], labels[:, pos])
-        return logits

@@ -2,8 +2,8 @@
 
 A small tape-based engine over numpy arrays: each op records its parents and a
 backward rule; ``backward`` walks the graph in reverse topological order and
-accumulates gradients.  Op outputs are row-major; op inputs may be strided
-numpy views (a transposed or sliced array), which the kernels read in place.
+accumulates gradients.  Op outputs are row-major, except that ``transpose``
+returns a view; op inputs may be strided views, which the kernels read in place.
 All randomness (dropout) flows through explicit generators.
 
 Ops are module functions over 2-D tensors (``Tensor`` has no operators).
@@ -12,11 +12,11 @@ splits its operands into heads inside, and also takes keys and values
 already in its head layout (``split_heads``), as a decoding cache stores them.
 
 ``rowwise_kernels`` switches matrix multiplication (per head in ``attention``)
-to one BLAS call per output row: every row is its own item of a batched
-product, so a row's arithmetic is the same call on the same operands however
-many rows are batched with it.  Incremental decoding relies on this: a row
-computed alone is bit-equal to the same row inside a larger product, which a
-single blocked BLAS call does not guarantee.
+to one BLAS call per output row, and masked ``attention`` to one query row at
+a time: a row's arithmetic is then the same calls on the same operands however
+many rows run with it.  Decoding relies on this: a row computed alone is
+bit-equal to the same row inside a larger product, which one blocked BLAS call
+does not guarantee.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def neg_fill(dtype) -> float:
     return -np.inf if np.dtype(dtype) == np.float64 else -1e9
 
 
-def masked_softmax_np(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+def masked_softmax_np(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     if mask is not None:
         if mask.shape != x.shape:
             mask = np.broadcast_to(mask, x.shape)
@@ -248,7 +248,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeMismatch(f"transpose expects a 2-D tensor, got shape {x.shape}")
-    out_data = np.ascontiguousarray(x.data.T)
+    out_data = x.data.T
 
     def backward(g):
         _accum(x, g.T)
@@ -388,9 +388,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     g of the keys and values, so no score is computed across groups.  Head h
     uses column block h (width D / heads) of q, k and v and writes the same
     block of the output.  ``mask`` is (m, n), shared by every group, True
-    where a query may attend.  Train-mode dropout on the weights draws one
-    ``rng.random((G, heads, m, n))``; ``sink`` receives the weights before
-    it, as (heads, M, N) for one group and (G, heads, m, n) otherwise.
+    where a query may attend; under ``rowwise_kernels`` its rows must be key
+    prefixes, each query reading its own alone.  Train-mode dropout on the
+    weights draws one ``rng.random((G, heads, m, n))``; ``sink`` gets the
+    weights before it, (heads, M, N) for one group, else (G, heads, m, n).
 
     ``k`` and ``v`` may instead come already in the head layout of
     ``split_heads``, k as (G, heads, dk, n) and v as (G, heads, n, dk), with
@@ -417,12 +418,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     kt, vh = (k.data, v.data) if split_kv else (split_heads(k.data, groups, heads, True),
                                                 split_heads(v.data, groups, heads))
     scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.dtype)
-    w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
+    prefixes = mask.sum(axis=-1) if _rowwise and mask is not None else None
+    if prefixes is None:
+        w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
+    elif mask.shape != (rows_q // groups, n) or not prefixes.all() or (
+            mask != (np.arange(n) < prefixes[:, None])).any():
+        raise ShapeMismatch("under rowwise_kernels every mask row must be a key prefix")
+    else:  # a spare key column: even the longest prefix is a strided view, as in a cache
+        kt = kt if split_kv else np.concatenate([kt, kt[..., :1]], axis=-1)[..., :n]
+        w = np.zeros(qh.shape[:3] + (n,), q.dtype)
+        for i, p in enumerate(prefixes):
+            w[..., [i], :p] = masked_softmax_np(matmul_np(qh[..., [i], :], kt[..., :p]) * scale)
     if sink is not None:
         sink.append(w[0] if groups == 1 else w)
     drop = _dropout_scale(w.shape, dropout_p, rng, w.dtype) if train and dropout_p > 0 else None
     wd = w if drop is None else w * drop
-    out_data = merge(matmul_np(wd, vh))
+    out_data = merge(matmul_np(wd, vh) if prefixes is None else np.concatenate(
+        [matmul_np(wd[..., [i], :p], vh[..., :p, :]) for i, p in enumerate(prefixes)], 2))
 
     def backward(g):
         gh = split_heads(g, groups, heads)

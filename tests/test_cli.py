@@ -10,6 +10,7 @@ from spangraph.data import Dataset, load_dataset, save_dataset
 from spangraph.decode import DecodeConfig, generate_batch
 from spangraph.graph import Document, EntitySpan, IEGraph
 from _helpers import make_schema, tiny_model
+from test_data import disallowed_relation_records, header_line
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,16 @@ class TestTrain:
         rc = main(["train", "--train", "/nonexistent/x.jsonl", "--steps", "1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_relation_outside_allowed_pairs_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "pairs.jsonl"
+        data.write_text("\n".join([header_line(), *disallowed_relation_records()]) + "\n")
+        rc = main(["train", "--train", str(data), "--out-dir", str(tmp_path / "run"),
+                   "--steps", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: {data}:3: relation 'founded' is not allowed from 'org' to 'person'"]
 
     def test_zero_heads_exits_one(self, workdir, tmp_path, capsys):
         rc = main(["train", "--train", workdir["train"], "--out-dir", str(tmp_path),

@@ -98,6 +98,15 @@ class TestRoundTrip:
         assert ds.documents() == [doc]
 
 
+def disallowed_relation_records() -> list[str]:
+    """A valid record, then one whose relation SYNTH_SCHEMA allows only from person to org."""
+    ents = [{"start": 0, "end": 0, "type": "person"}, {"start": 2, "end": 2, "type": "org"}]
+    ok = {"id": "ok", "tokens": ["bob", "founded", "acme"], "entities": ents,
+          "relations": [{"head": 0, "tail": 1, "type": "founded"}]}
+    bad = dict(ok, id="bad", relations=[{"head": 1, "tail": 0, "type": "founded"}])
+    return [json.dumps(ok), json.dumps(bad)]
+
+
 class TestLoadErrors:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.jsonl"
@@ -170,6 +179,13 @@ class TestLoadErrors:
         rec = {"id": "d", "tokens": tokens, "entities": [], "relations": []}
         write_lines(p, [header_line(), json.dumps(rec)])
         with pytest.raises(ValidationError, match=r"d\.jsonl:2: document"):
+            load_dataset(str(p))
+
+    def test_relation_outside_allowed_pairs_rejected(self, tmp_path):
+        p = tmp_path / "pairs.jsonl"
+        write_lines(p, [header_line(), *disallowed_relation_records()])
+        with pytest.raises(SchemaMismatch, match=r"pairs\.jsonl:3: relation 'founded' is not "
+                                                 r"allowed from 'org' to 'person'$"):
             load_dataset(str(p))
 
     def test_missing_field(self, tmp_path):

@@ -10,7 +10,7 @@ from spangraph.decode import DecodeConfig, generate, generate_batch, nucleus_sel
 from spangraph.grammar import Phase, advance, initial_state, legal_mask, replay
 from spangraph.graph import Document, validate_graph
 from spangraph.linearize import END, SEP, START, RelSym, SpanSym
-from spangraph.model import Model, TooLong
+from spangraph.model import DecodeRuntime, Model, TooLong
 from spangraph.tensor import Tensor, no_grad, rowwise_kernels
 from spangraph.vocab import build_layout, id_to_symbol, symbol_to_id
 from _helpers import make_doc, make_schema, reference_close_sequence, tiny_model
@@ -395,18 +395,12 @@ def bench_sentences(tmp_path_factory):
 
 
 class TestTeacherForcedOracle:
-    """Every cached decode step's logits against the teacher-forced forward.
+    """Every cached decode step's logits against the teacher-forced forward, bit for bit.
 
-    ``generate(fast=False)`` replays each prefix through the same
-    ``step_logits``, so the bitwise cached-versus-recompute checks cannot see
-    a bug shared by every step.  ``Model.sequence_logits`` scores a whole
-    prefix at once under a causal mask: the same layers, but not bit-equal,
-    since its rows also reduce over masked keys.  Each step is compared
-    relative to its largest logit; over these 40 sentences (339 steps) the
-    worst ratio measured 2.2e-7 in float32 and 5.3e-16 in float64.
+    ``Model.sequence_logits`` scores a whole prefix at once under a causal
+    mask; under ``rowwise_kernels`` each of its rows attends to exactly its
+    own key prefix, as a cached step does, so the logits are byte-equal.
     """
-
-    TOLERANCE = {"float32": 1e-5, "float64": 1e-12}
 
     @staticmethod
     def _model(model, dtype):
@@ -442,8 +436,7 @@ class TestTeacherForcedOracle:
                                          np.array(labels)).data
         steps = np.stack(res.step_logits)
         assert steps.shape == full.shape and steps.dtype == full.dtype
-        ratio = np.abs(steps - full).max(axis=1) / np.abs(full).max(axis=1)
-        assert ratio.max() <= self.TOLERANCE[model.config.dtype], (doc.id, ratio.argmax())
+        assert steps.tobytes() == full.tobytes(), doc.id
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_generate(self, bench_sentences, dtype):
@@ -471,3 +464,45 @@ class TestTeacherForcedOracle:
                 crossed += len(res.step_logits) > first_done
         # sentences that went on decoding after another left the batch
         assert crossed >= 3
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_chunked_cache_steps(self, bench_sentences, dtype):
+        # a two-chunk cached forward equals the whole teacher-forced prefix:
+        # a multi-row step is bit-equal to one-row steps
+        model, docs = bench_sentences
+        model = self._model(model, dtype)
+        checked = 0
+        for doc in docs:
+            res = generate(model, doc)
+            if res.truncated:
+                continue
+            ids, labels = self._fed_back(model, doc, res)
+            tokens = model.word_vocab.encode(doc.tokens)
+            cache = DecodeRuntime(model, tokens[None], len(ids) + 1)
+            half = len(ids) // 2
+            with no_grad(), rowwise_kernels():
+                H = model.encode(tokens)
+                E = model.build_E(model.span_embeddings(H))
+                whole = model.decode_hidden(model.decoder_inputs(E, ids, labels), H).data
+                chunks = [model.decode_hidden(model.decoder_inputs(E, ids[a:b], labels[a:b],
+                                                                   start=a), None, cache=cache)
+                          for a, b in ((0, half), (half, len(ids)))]
+            assert np.concatenate([c.data for c in chunks]).tobytes() == whole.tobytes(), doc.id
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_cache_capacity_does_not_move_logits(self, bench_sentences, dtype):
+        model, docs = bench_sentences
+        model = self._model(model, dtype)
+        doc, res = max(((doc, generate(model, doc)) for doc in docs),
+                       key=lambda pair: len(pair[1].step_logits))
+        ids, labels = self._fed_back(model, doc, res)
+        assert len(ids) > 10
+        budget = decode._length_budget(model, DecodeConfig(), len(doc))
+        runs = []
+        for rows in (budget, 2 * budget):
+            runtime = DecodeRuntime(model, model.word_vocab.encode(doc.tokens)[None], rows)
+            runs.append(np.stack([runtime.step_logits(np.array([i]), np.array([label]))
+                                  for i, label in zip(ids, labels)]))
+        assert runs[0].tobytes() == runs[1].tobytes()

@@ -140,6 +140,17 @@ class TestRowwiseMatmul:
                 assert (alone == full[g, h, i:i + 1]).all()
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [1, 2, 403])
+    def test_key_prefix_with_one_spare_column(self, rng, dtype, n):
+        # teacher-forced attention reads its longest key prefix from a buffer
+        # with one spare column, a cache at another stride
+        a = rng.standard_normal((2, 3, 1, 16)).astype(dtype)
+        keys = rng.standard_normal((2, 3, 16, n)).astype(dtype)
+        with T.rowwise_kernels():
+            spare = T.matmul_np(a, _cache_view(keys, 1))
+            assert (spare == T.matmul_np(_unaligned(a), _cache_view(keys, 37))).all()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("k", [5, 67])
     def test_transposed_view(self, rng, dtype, k):
         # pointer scores z @ E^T, E^T a transposed view of each sentence's (V, D) rows
@@ -432,6 +443,44 @@ class TestAttention:
             full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, mask)
             one = T.attention(T.Tensor(q[2:3]), T.Tensor(k), T.Tensor(v), 4, mask[2:3])
         assert (full.data[2:3] == one.data).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_rowwise_causal_row_equals_its_key_prefix_alone(self, rng, dtype, heads, groups):
+        # row r of each group against keys[:r+1] alone, read as a decoding
+        # cache holds them: strided views of wider buffers
+        n, d = 7, 16
+        q, k, v = (rng.standard_normal((groups * n, d)).astype(dtype) for _ in range(3))
+        causal = np.tril(np.ones((n, n), dtype=bool))
+        kt, vh = T.split_heads(k, groups, heads, True), T.split_heads(v, groups, heads)
+        kbuf = np.zeros(kt.shape[:3] + (n + 5,), dtype)
+        vbuf = np.zeros(vh.shape[:2] + (n + 5,) + vh.shape[3:], dtype)
+        kbuf[..., :n], vbuf[:, :, :n] = kt, vh
+        with T.rowwise_kernels():
+            full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, causal,
+                               groups=groups).data.reshape(groups, n, d)
+            for r in range(n):
+                alone = T.attention(T.Tensor(q.reshape(groups, n, d)[:, r]),
+                                    T.Tensor(kbuf[..., :r + 1]), T.Tensor(vbuf[:, :, :r + 1]),
+                                    heads, None, groups=groups)
+                assert alone.data.tobytes() == np.ascontiguousarray(full[:, r]).tobytes()
+
+    def test_grad_rowwise_causal(self, rng):
+        mask = np.tril(np.ones((4, 4), dtype=bool))
+        with T.rowwise_kernels():
+            check_op(lambda q, k, v: T.attention(q, k, v, 2, mask, groups=2),
+                     [rng.standard_normal((8, 6)) for _ in range(3)], rng)
+
+    @pytest.mark.parametrize("mask", [
+        np.array([[True, False, True], [True, True, False]]),   # a gap in the first row
+        np.array([[False, False, False], [True, False, False]]),  # an empty row
+        np.ones((2, 2), dtype=bool),                             # not (queries, keys)
+    ])
+    def test_rowwise_mask_must_be_key_prefixes(self, rng, mask):
+        q, k = T.Tensor(rng.standard_normal((2, 4))), T.Tensor(rng.standard_normal((3, 4)))
+        with T.rowwise_kernels(), pytest.raises(T.ShapeMismatch, match="key prefix"):
+            T.attention(q, k, k, 2, mask)
 
     def test_grad_groups_causal(self, rng):
         # three groups of 3 query and 3 key rows, causal inside each group
