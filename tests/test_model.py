@@ -338,6 +338,34 @@ class TestDecodeHidden:
 
 
 class TestIncrementalDecoding:
+    def test_prefix_logits_match_teacher_forced_last_row(self, two_type_schema):
+        # the recompute generate(fast=False) runs: sequence_logits over a
+        # prefix, last row, equals that row of the whole teacher-forced pass
+        m = tiny_model(two_type_schema, dec_layers=2)
+        token_ids = np.array([1, 2, 3])
+        layout = build_layout(3, two_type_schema, 3)
+        ids = np.array([layout.start_id, 0, 2, layout.sep_id])
+        labels = np.array([0, 0, 0, 1])
+        with T.no_grad(), T.rowwise_kernels():
+            full = m.sequence_logits(token_ids, ids, labels).data
+            for t in range(1, len(ids) + 1):
+                slow = m.sequence_logits(token_ids, ids[:t], labels[:t]).data[-1]
+                assert slow.tobytes() == full[t - 1].tobytes()
+
+    def test_incremental_matches_prefix_bitwise(self, two_type_schema):
+        # each cached step against a from-scratch recompute of its own prefix
+        m = tiny_model(two_type_schema, dec_layers=2)
+        token_ids = np.array([1, 2, 3])
+        layout = build_layout(3, two_type_schema, 3)
+        ids = np.array([layout.start_id, 0, 5, layout.sep_id])
+        labels = np.zeros_like(ids)
+        rt = DecodeRuntime(m, token_ids[None], len(ids) + 1)
+        for i in range(len(ids)):
+            inc = rt.step_logits(ids[i:i + 1], labels[i:i + 1])[0]
+            with T.no_grad(), T.rowwise_kernels():
+                slow = m.sequence_logits(token_ids, ids[:i + 1], labels[:i + 1]).data[-1]
+            np.testing.assert_array_equal(inc, slow)
+
     def test_incremental_matches_teacher_forced_bitwise(self, two_type_schema):
         m = tiny_model(two_type_schema, dec_layers=2)
         token_ids = np.array([1, 2, 3])
