@@ -225,13 +225,14 @@ def cmd_generate(args) -> int:
 
 
 def _decode_record(results: list[GenerationResult | None]) -> dict:
-    """Truncation and sequence length over the documents that were decoded."""
+    """Truncation, sequence length and decoder calls over the documents that were decoded."""
     done = [res for res in results if res is not None]
     n = len(done)
     truncated = sum(res.truncated for res in done)
     return {"metric": "decode", "documents": n, "truncated": truncated,
             "truncated_frac": truncated / max(1, n),
-            "mean_symbols": sum(len(res.ids) for res in done) / max(1, n)}
+            "mean_symbols": sum(len(res.ids) for res in done) / max(1, n),
+            "mean_decoder_calls": sum(res.decoder_calls for res in done) / max(1, n)}
 
 
 def cmd_evaluate(args) -> int:

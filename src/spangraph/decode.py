@@ -11,20 +11,26 @@ one vocabulary size and one length budget, so a batch needs no padding, and
 each step runs the decoder once for all its unfinished sentences.  Attention
 is grouped per sentence and the kernels are row-stable, so a sentence's
 logits are bit-equal whether it decodes alone (``generate``) or in a batch.
+A cached step also feeds symbols drafted from each sentence's own history
+and keeps the picks that confirm them: lossless speculative decoding, with
+outputs that do not depend on the draft.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grammar import Phase, advance, initial_state, legal_mask, structural_labels
+from .grammar import (DecodeState, IllegalTransition, Phase, advance, initial_state, legal_mask,
+                      structural_labels)
 from .graph import Document, IEGraph
 from .linearize import END, SEP, START, Symbol, GraphSequence, delinearize
 from .model import AttnTrace, DecodeRuntime, Model, TooLong, is_integer
 from .tensor import masked_softmax_np, no_grad, rowwise_kernels
-from .vocab import build_layout, id_to_symbol, symbol_to_id
+from .vocab import IdOutOfRange, VocabLayout, build_layout, id_to_symbol, symbol_to_id
 
 # A lockstep batch's DecodeRuntime holds at most this many bytes: per
 # sentence its vocabulary rows E, each decoder layer's cross keys/values and
@@ -34,6 +40,13 @@ from .vocab import build_layout, id_to_symbol, symbol_to_id
 # 3 MiB kept the largest cap that raised peak memory by at most 5%;
 # CHANGES.md has the measurements.
 BATCH_BYTES = 2 * 2**20
+
+# A cached step feeds at most this many drafted symbols after the last one.
+# At L = 100 a k-row step takes about 0.6 ms at k = 1, 1.6 ms at k = 8 and
+# 2.5 ms at k = 16 (float32, one BLAS thread), so a decode-long triple loop,
+# whose drafts are always accepted, decodes 8 symbols in the time of about
+# 3 one-row steps.  CHANGES.md has a sweep of 3, 7, 11 and 15.
+DRAFT = 7
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,7 @@ class GenerationResult:
     step_logits: list[np.ndarray] = field(default_factory=list)
     truncated: bool = False
     trace: AttnTrace | None = None
+    decoder_calls: int = 0  # decoder calls made while the sentence was decoding
 
 
 def nucleus_select(logits: np.ndarray, mask: np.ndarray, top_p: float,
@@ -115,14 +129,55 @@ def _too_long(model: Model, doc: Document) -> TooLong | None:
                    f"{model.config.max_positions}")
 
 
+def _draft(ids: list[int]) -> Iterable[int]:
+    """The ids that followed the last earlier occurrence of ``ids[-1]``, repeated.
+
+    Copied cyclically, so a repeated triple extends past the end of the
+    sequence; empty when the last id has not occurred before.
+    """
+    try:
+        at = len(ids) - 2 - ids[-2::-1].index(ids[-1])
+    except ValueError:
+        return ()
+    return itertools.cycle(ids[at + 1:])
+
+
+def _walk_draft(state: DecodeState, draft: Iterable[int],
+                layout: VocabLayout) -> tuple[list[int], list[DecodeState]]:
+    """The draft's ids up to its first illegal symbol or END, and the grammar states.
+
+    ``states[j]`` is the state before draft id j, so its phase is that
+    symbol's structural label; the last state follows the last kept id.
+    """
+    kept, states = [], [state]
+    for i in draft:
+        try:
+            sym = id_to_symbol(layout, i)
+            if sym is END:
+                break
+            state = advance(state, sym)
+        except (IdOutOfRange, IllegalTransition):
+            break
+        kept.append(i)
+        states.append(state)
+    return kept, states
+
+
 def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
                      keep_logits: bool) -> list[GenerationResult]:
     """Decode documents of one token count together, one decoder call per step.
 
-    ``fast`` extends a key/value cache one symbol at a time, which keeps a row
-    free (the last symbol is never fed); ``fast=False`` runs ``sequence_logits``
-    over each whole prefix every step.  A sentence leaves the batch at END or
-    at the length budget, so the work follows the sentences still decoding.
+    ``fast`` extends a key/value cache and drafts: each sentence guesses its
+    next symbols from its own history (``_draft``), kept only as far as the
+    grammar admits them, and a step feeds the last symbol plus the shortest
+    draft among the live sentences, at most ``DRAFT``, as one multi-row
+    call.  Row j's pick is made under row j's mask exactly as a one-row step
+    would make it, and the picks are kept while every sentence's pick equals
+    its fed draft symbol; the rest of the rows are overwritten by the next
+    step.  No step reaches the cache's last row (the last symbol is never
+    fed).  ``fast=False`` runs ``sequence_logits`` over each whole prefix,
+    one symbol per step.  A sentence leaves the batch at END or at the
+    length budget, so the work follows the sentences still decoding.
     """
     n_tokens = len(docs[0])
     layout = build_layout(n_tokens, model.schema, model.config.max_span_width)
@@ -136,29 +191,52 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
     ids = [[layout.start_id] for _ in docs]
     labels = [[int(Phase.NODE)] for _ in docs]
     step_logits: list[list[np.ndarray]] = [[] for _ in docs]
+    calls = [0] * len(docs)
     while live:
+        # draft rows that keep the cache's last row free; live sentences share a length
+        room = min(DRAFT, max_len - len(symbols[live[0]]) - 1) if fast else 0
+        walks = []
+        for b in live:
+            draft = itertools.islice(_draft(ids[b]), room) if room else ()
+            walks.append(_walk_draft(states[b], draft, layout))
+            room = min(room, len(walks[-1][0]))
         if fast:
-            logits = runtime.step_logits(np.array([ids[b][-1] for b in live]),
-                                         np.array([labels[b][-1] for b in live]))
+            fed = [[ids[b][-1]] + walk[:room] for b, (walk, _) in zip(live, walks)]
+            fed_labels = [[labels[b][-1]] + [int(s.phase) for s in walk_states[:room]]
+                          for b, (_, walk_states) in zip(live, walks)]
+            start = runtime.length
+            logits = runtime.step_logits(np.array(fed), np.array(fed_labels))
         else:
             with no_grad(), rowwise_kernels():
-                logits = np.stack([model.sequence_logits(tokens[b], ids[b], labels[b]).data[-1]
+                logits = np.stack([model.sequence_logits(tokens[b], ids[b], labels[b]).data[-1:]
                                    for b in live])
-        masks = np.stack([legal_mask(states[b], layout, model.schema) for b in live])
-        if config.mode == "greedy":
-            picks = np.argmax(np.where(masks, logits, -np.inf), axis=1).tolist()
-        else:
-            picks = [nucleus_select(logits[r], masks[r], config.top_p,
-                                    np.random.default_rng([config.seed, len(ids[b])]))
-                     for r, b in enumerate(live)]
-        for r, (b, pick) in enumerate(zip(live, picks)):
-            if keep_logits:
-                step_logits[b].append(logits[r])
-            sym = id_to_symbol(layout, pick)
-            labels[b].append(int(states[b].phase))
-            states[b] = advance(states[b], sym)
-            symbols[b].append(sym)
-            ids[b].append(pick)
+        for j in range(room + 1):
+            masks = np.stack([legal_mask(states[b], layout, model.schema) for b in live])
+            if config.mode == "greedy":
+                picks = np.argmax(np.where(masks, logits[:, j], -np.inf), axis=1).tolist()
+            else:
+                picks = [nucleus_select(logits[r, j], masks[r], config.top_p,
+                                        np.random.default_rng([config.seed, len(ids[b])]))
+                         for r, b in enumerate(live)]
+            confirmed = j < room  # every pick equals its sentence's next fed symbol
+            for r, (b, pick) in enumerate(zip(live, picks)):
+                if keep_logits:
+                    step_logits[b].append(logits[r, j])
+                sym = id_to_symbol(layout, pick)
+                labels[b].append(int(states[b].phase))
+                if j < room and pick == walks[r][0][j]:
+                    states[b] = walks[r][1][j + 1]
+                else:
+                    states[b] = advance(states[b], sym)
+                    confirmed = False
+                symbols[b].append(sym)
+                ids[b].append(pick)
+            if not confirmed:
+                break
+        if fast:
+            runtime.length = start + j + 1
+        for b in live:
+            calls[b] += 1
         keep = [r for r, b in enumerate(live)
                 if not states[b].finished and len(symbols[b]) < max_len]
         if len(keep) < len(live):
@@ -173,7 +251,7 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
             ids[b] = [symbol_to_id(layout, s) for s in symbols[b]]
         seq = GraphSequence(tuple(symbols[b]))
         results.append(GenerationResult(seq, delinearize(seq), ids[b], step_logits[b],
-                                        truncated))
+                                        truncated, decoder_calls=calls[b]))
     return results
 
 
@@ -181,8 +259,11 @@ def generate(model: Model, doc: Document, config: DecodeConfig = DecodeConfig(),
              capture_attention: bool = False, fast: bool = True) -> GenerationResult:
     """Decode one document into a graph: the lockstep loop with a batch of one.
 
-    ``fast=False`` recomputes each step with ``Model.sequence_logits`` instead
-    of the key/value cache; the logits are bit-identical.  Raises ``TooLong``
+    The cached path feeds drafted symbols with the last one, so
+    ``decoder_calls`` may be fewer than the symbols decoded; ``step_logits``
+    still holds one row per decoded symbol.  ``fast=False`` recomputes each
+    step with ``Model.sequence_logits`` instead of the key/value cache, one
+    symbol per call; ids and logits are bit-identical.  Raises ``TooLong``
     when the document has more tokens than ``max_positions``.
     """
     error = _too_long(model, doc)

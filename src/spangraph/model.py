@@ -503,13 +503,15 @@ class DecodeRuntime:
     holds each layer's cross-attention keys (B, heads, dk, L) and values
     (B, heads, L, dk), computed once; ``keys`` (B, heads, dk, rows) and
     ``values`` (B, heads, rows, dk) hold self-attention rows, the first
-    ``length`` of each sentence filled.  ``step_logits`` feeds one symbol per
-    sentence at position ``length``, and ``keep`` drops sentences from E and
-    the cache together.  Everything runs under shape-stable kernels with
-    attention grouped per sentence, so each sentence's logits do not depend on
-    the others in its batch and equal ``Model.sequence_logits`` bit for bit,
-    as long as a step leaves a row free: a step that fills the last row reads
-    the keys as one contiguous array, whose product may differ in float64.
+    ``length`` of each sentence filled.  ``step_logits`` feeds k symbols per
+    sentence at positions ``length`` onward, and ``keep`` drops sentences
+    from E and the cache together.  Everything runs under shape-stable
+    kernels with attention grouped per sentence and each row attending to
+    its own key prefix, so each sentence's logits do not depend on the
+    others in its batch or on k, and equal ``Model.sequence_logits`` bit for
+    bit, as long as a step leaves a row free: a step that fills the last row
+    reads the keys as one contiguous array, whose product may differ in
+    float64.
     """
 
     @staticmethod
@@ -550,16 +552,21 @@ class DecodeRuntime:
         self.values = [v[rows] for v in self.values]
 
     def step_logits(self, sym_ids, labels) -> np.ndarray:
-        """Extend the cache by one input symbol per sentence; next-symbol logits.
+        """Extend the cache by k input symbols per sentence; their next-symbol logits.
 
-        ``sym_ids`` and ``labels`` hold one entry per sentence; the (B, V)
-        logits score row b against sentence b's own vocabulary.
+        ``sym_ids`` and ``labels`` are (B, k): row b holds sentence b's
+        symbols for positions ``length`` .. ``length + k - 1``.  The (B, k, V)
+        logits score each row against its sentence's own vocabulary, and row j
+        attends to exactly its own prefix, so a k-row step is bit-equal to k
+        one-row steps.  ``length`` advances by k; a caller that keeps fewer
+        rows sets it back, and the next step overwrites the rest.
         """
         n_seq, n_vocab, d = self.E.shape
-        rows = np.arange(n_seq) * n_vocab + sym_ids
+        k = sym_ids.shape[1]
+        rows = (np.arange(n_seq)[:, None] * n_vocab + sym_ids).reshape(-1)
         with T.no_grad(), T.rowwise_kernels():
-            x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows, labels,
-                                          start=self.length, sym_lens=[1] * n_seq)
+            x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows, labels.reshape(-1),
+                                          start=self.length, sym_lens=[k] * n_seq)
             z = self.model.decode_hidden(x, None, cache=self)
-            # (B, 1, D) @ (B, D, V), each sentence's E^T a transposed view
-            return T.matmul_np(z.data[:, None, :], self.E.transpose(0, 2, 1))[:, 0]
+            # (B, k, D) @ (B, D, V), each sentence's E^T a transposed view
+            return T.matmul_np(z.data.reshape(n_seq, k, d), self.E.transpose(0, 2, 1))

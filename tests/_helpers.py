@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from spangraph.grammar import FinishedState, Phase, replay
 from spangraph.graph import Document, EntitySpan, IEGraph, Relation, Schema
@@ -25,6 +26,18 @@ def make_schema(n_ent: int, n_rel: int, allowed_pairs=None) -> Schema:
         relation_types=tuple(f"rel{i}" for i in range(n_rel)),
         allowed_pairs=allowed_pairs,
     )
+
+
+@st.composite
+def schemas(draw) -> Schema:
+    """Hypothesis schemas: 1-3 entity and relation types, allowed pairs drawn or absent."""
+    n_ent, n_rel = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = None
+    if draw(st.booleans()):
+        rels = st.frozensets(st.integers(0, n_rel - 1), min_size=1)
+        pairs = draw(st.dictionaries(st.tuples(st.integers(0, n_ent - 1),
+                                               st.integers(0, n_ent - 1)), rels))
+    return make_schema(n_ent, n_rel, allowed_pairs=pairs)
 
 
 def random_graph(rng: np.random.Generator, L: int, K: int, C: int, R: int,

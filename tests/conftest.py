@@ -8,8 +8,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from spangraph.graph import Schema  # noqa: E402
+
+# HYPOTHESIS_PROFILE=ci (set by the CI workflow) draws the same examples on
+# every run and prints a reproduction blob for a failure; local runs keep
+# the default profile, which draws fresh examples.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

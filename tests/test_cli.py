@@ -241,6 +241,7 @@ class TestEvaluate:
             "metric": "decode", "documents": len(docs), "truncated": n_truncated,
             "truncated_frac": n_truncated / len(docs),
             "mean_symbols": sum(len(res.ids) for res in want) / len(docs),
+            "mean_decoder_calls": sum(res.decoder_calls for res in want) / len(docs),
         }
 
     def test_needs_one_route(self, capsys):

@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spangraph import decode
-from spangraph.data import load_dataset, make_synthetic
+from spangraph.data import Dataset, load_dataset, make_synthetic, save_dataset
 from spangraph.decode import DecodeConfig, generate, generate_batch, nucleus_select, predict
 from spangraph.grammar import Phase, advance, initial_state, legal_mask, replay
 from spangraph.graph import Document, validate_graph
@@ -13,7 +17,7 @@ from spangraph.linearize import END, SEP, START, RelSym, SpanSym
 from spangraph.model import DecodeRuntime, Model, TooLong
 from spangraph.tensor import Tensor, no_grad, rowwise_kernels
 from spangraph.vocab import build_layout, id_to_symbol, symbol_to_id
-from _helpers import make_doc, make_schema, reference_close_sequence, tiny_model
+from _helpers import make_doc, make_schema, reference_close_sequence, schemas, tiny_model
 
 
 class TestDecodeConfig:
@@ -503,6 +507,216 @@ class TestTeacherForcedOracle:
         runs = []
         for rows in (budget, 2 * budget):
             runtime = DecodeRuntime(model, model.word_vocab.encode(doc.tokens)[None], rows)
-            runs.append(np.stack([runtime.step_logits(np.array([i]), np.array([label]))
+            runs.append(np.stack([runtime.step_logits(np.array([[i]]), np.array([[label]]))[:, 0]
                                   for i, label in zip(ids, labels)]))
         assert runs[0].tobytes() == runs[1].tobytes()
+
+
+class TestDraft:
+    """The draft source and the grammar walk that trims it."""
+
+    def test_copies_what_followed_the_last_earlier_occurrence_cyclically(self):
+        ids = [9, 4, 1, 2, 3, 1]
+        assert list(itertools.islice(decode._draft(ids), 7)) == [2, 3, 1, 2, 3, 1, 2]
+        # the last earlier occurrence, not the first
+        assert list(itertools.islice(decode._draft([9, 1, 5, 1, 2, 1]), 3)) == [2, 1, 2]
+
+    @pytest.mark.parametrize("ids", [[9], [9, 4], [9, 4, 1, 2]])
+    def test_no_earlier_occurrence_drafts_nothing(self, ids):
+        assert list(decode._draft(ids)) == []
+
+    def test_walk_stops_at_an_illegal_symbol_end_or_an_id_outside_the_layout(self):
+        schema = make_schema(1, 1)
+        layout = build_layout(3, schema, 1)
+        a, b = (symbol_to_id(layout, SpanSym(i, i, 0)) for i in (0, 1))
+        rel = layout.rel_id(0)
+        node = advance(advance(initial_state(), SpanSym(0, 0, 0)), SpanSym(1, 1, 0))
+        head = advance(node, SEP)
+        # a triple walks whole; a second SEP is illegal in HEAD
+        kept, states = decode._walk_draft(head, [a, b, rel, layout.sep_id, a], layout)
+        assert kept == [a, b, rel]
+        assert [s.phase for s in states] == [Phase.HEAD, Phase.TAIL, Phase.REL, Phase.HEAD]
+        assert decode._walk_draft(head, [a, b, rel, layout.end_id, a], layout)[0] == [a, b, rel]
+        assert decode._walk_draft(head, [a, layout.V, b], layout)[0] == [a]
+        assert decode._walk_draft(head, [-1, a], layout)[0] == []
+        assert decode._walk_draft(node, [layout.start_id], layout)[0] == []
+
+
+def _step_spy(monkeypatch):
+    """Record (first row, rows fed, cache rows) of every cached decoder call."""
+    steps = []
+    step = DecodeRuntime.step_logits
+
+    def spy(runtime, sym_ids, labels):
+        steps.append((runtime.length, sym_ids.shape[1], runtime.keys[0].shape[-1]))
+        return step(runtime, sym_ids, labels)
+
+    monkeypatch.setattr(DecodeRuntime, "step_logits", spy)
+    return steps
+
+
+def _same_results(got, want) -> bool:
+    return all(
+        (a.ids, a.truncated, a.sequence) == (b.ids, b.truncated, b.sequence)
+        and len(a.step_logits) == len(b.step_logits)
+        and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                for x, y in zip(a.step_logits, b.step_logits))
+        for a, b in zip(got, want, strict=True))
+
+
+class TestDraftAndVerify:
+    """Drafts decide how many rows a cached step feeds, never what is decoded."""
+
+    SCHEMA = TestLockstep.SCHEMA
+    WORDS = TestLockstep.WORDS
+    CONFIGS = [DecodeConfig(), DecodeConfig(max_len=9),
+               DecodeConfig(mode="nucleus", top_p=0.8, seed=5)]
+
+    def _model(self, dtype="float64"):
+        return tiny_model(self.SCHEMA, words=self.WORDS, seed=2, dec_layers=2, dtype=dtype)
+
+    def _docs(self):
+        rng = np.random.default_rng(3)
+        return [Document(tuple(rng.choice(self.WORDS, size=n).tolist()), id=f"d{i}")
+                for i, n in enumerate([4, 4, 4, 6, 6, 3])]
+
+    def _decode(self, m, docs, cfg):
+        return [generate(m, doc, cfg) for doc in docs], generate_batch(m, docs, cfg)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["greedy", "max_len", "nucleus"])
+    def test_garbage_drafts_change_no_output(self, monkeypatch, cfg, dtype):
+        m, docs = self._model(dtype), self._docs()
+        want, want_batch = self._decode(m, docs, cfg)
+        rng = np.random.default_rng(0)
+        real = decode._draft
+        n_vocab = max(build_layout(len(doc), self.SCHEMA, 3).V for doc in docs)
+
+        def garbage(ids):
+            honest = list(itertools.islice(real(ids), 16))
+            kind = rng.integers(5)
+            if kind == 0:  # random ids, some outside the layout
+                return rng.integers(-2, n_vocab + 2, size=16).tolist()
+            if kind == 1:  # START, never legal
+                return [ids[0]] * 4
+            if kind == 2 and honest:  # an early END, whose id follows START's
+                return honest[:rng.integers(len(honest))] + [ids[0] + 1] + honest
+            if kind == 3 and honest:  # one wrong id inside an honest draft
+                honest[rng.integers(len(honest))] = int(rng.integers(n_vocab))
+            return honest
+
+        monkeypatch.setattr(decode, "_draft", garbage)
+        steps = _step_spy(monkeypatch)
+        got, got_batch = self._decode(m, docs, cfg)
+        assert _same_results(got, want)
+        assert [r.ids for r in got_batch] == [r.ids for r in want_batch]
+        # multi-row steps ran, and some of their rows were rejected
+        fed = sum(k for _, k, _ in steps[:sum(r.decoder_calls for r in got)])
+        assert max(k for _, k, _ in steps) > 1
+        assert fed > sum(len(r.step_logits) for r in got)
+
+    def test_decoder_calls_count_the_steps_a_sentence_was_live_for(self, monkeypatch):
+        m, docs = self._model(), self._docs()
+        for doc in docs:
+            assert generate(m, doc, fast=False).decoder_calls == len(generate(m, doc).step_logits)
+            steps = _step_spy(monkeypatch)
+            assert generate(m, doc).decoder_calls == len(steps)
+            monkeypatch.undo()
+
+
+_WORDS = ("a", "b", "c", "d")
+
+
+class TestDecodingProperties:
+    """Random tiny models and schemas: cached drafts equal the recompute, outputs load."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(schema=schemas(), lengths=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+           width=st.integers(1, 3), dtype=st.sampled_from(["float32", "float64"]),
+           nucleus=st.booleans(), max_len=st.one_of(st.none(), st.integers(3, 40)),
+           seed=st.integers(0, 2**16))
+    def test_cached_equals_recompute_and_outputs_pass_the_loader(
+            self, schema, lengths, width, dtype, nucleus, max_len, seed):
+        m = tiny_model(schema, words=_WORDS, max_span_width=width, dtype=dtype, seed=seed,
+                       dec_layers=2)
+        rng = np.random.default_rng(seed)
+        docs = [Document(tuple(rng.choice(_WORDS, size=n).tolist()), id=f"d{i}")
+                for i, n in enumerate(lengths)]
+        cfg = DecodeConfig(mode="nucleus" if nucleus else "greedy", top_p=0.8,
+                           max_len=max_len, seed=seed)
+        batch = generate_batch(m, docs, cfg)
+        for doc, res in zip(docs, batch):
+            fast, slow = generate(m, doc, cfg), generate(m, doc, cfg, fast=False)
+            assert fast.ids == slow.ids == res.ids
+            assert _same_results([fast], [slow])
+            for out in (fast, res):
+                validate_graph(out.graph, doc, max_width=width)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.jsonl")
+            save_dataset(path, Dataset(schema, width, tuple(
+                (doc, res.graph) for doc, res in zip(docs, batch))))
+            # the loader checks every graph and the schema's allowed pairs
+            assert load_dataset(path).examples == tuple(
+                (doc, res.graph) for doc, res in zip(docs, batch))
+
+
+@pytest.fixture(scope="module")
+def long_input(bench_sentences):
+    """The benchmark checkpoint and one 100-token input of joined synthetic sentences."""
+    model, docs = bench_sentences
+    tokens = [t for doc in docs for t in doc.tokens][:100]
+    assert len(tokens) == 100
+    return model, Document(tuple(tokens), id="long")
+
+
+class TestDraftsOnTheBenchmarkModel:
+    """The trained checkpoint repeats triples, so its drafts run to the caps."""
+
+    CONFIGS = [DecodeConfig(), DecodeConfig(max_len=12),
+               DecodeConfig(mode="nucleus", top_p=0.8, seed=5)]
+
+    @staticmethod
+    def _decode(model, docs, cfg):
+        return [generate(model, doc, cfg) for doc in docs], generate_batch(model, docs, cfg)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["greedy", "max_len", "nucleus"])
+    def test_draft_cap_bounds_the_rows_of_a_step(self, monkeypatch, bench_sentences, cfg):
+        model, docs = bench_sentences
+        want, want_batch = self._decode(model, docs, cfg)
+        monkeypatch.setattr(decode, "DRAFT", 2)
+        steps = _step_spy(monkeypatch)
+        got, got_batch = self._decode(model, docs, cfg)
+        assert _same_results(got, want)
+        assert [r.ids for r in got_batch] == [r.ids for r in want_batch]
+        assert max(k for _, k, _ in steps) == 3
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["greedy", "max_len", "nucleus"])
+    def test_budget_caps_the_rows_below_the_last_cache_row(self, monkeypatch, bench_sentences,
+                                                           cfg):
+        model, docs = bench_sentences
+        want, want_batch = self._decode(model, docs, cfg)
+        monkeypatch.setattr(decode, "DRAFT", 1000)
+        steps = _step_spy(monkeypatch)
+        got, got_batch = self._decode(model, docs, cfg)
+        assert _same_results(got, want)
+        assert [r.ids for r in got_batch] == [r.ids for r in want_batch]
+        assert all(start + k < rows for start, k, rows in steps)
+        # drafts ran up to the budget: a multi-row step ended one row short of the end
+        assert any(start + k == rows - 1 and k > 2 for start, k, rows in steps)
+
+    def test_no_step_reaches_the_last_cache_row(self, monkeypatch, bench_sentences, long_input):
+        model, docs = bench_sentences
+        steps = _step_spy(monkeypatch)
+        for doc in list(docs) + [long_input[1]]:
+            generate(model, doc)
+        predict(model, docs)
+        assert all(start + k < rows for start, k, rows in steps)
+        assert max(k for _, k, _ in steps) == decode.DRAFT + 1
+
+    def test_a_repeating_long_input_makes_a_third_of_the_calls(self, long_input):
+        model, doc = long_input
+        res = generate(model, doc)
+        # the input runs to its budget, one triple repeated
+        assert res.truncated
+        assert len(res.step_logits) == decode._length_budget(model, DecodeConfig(), 100) - 1
+        assert 3 * res.decoder_calls <= len(res.step_logits)

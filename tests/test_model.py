@@ -361,7 +361,7 @@ class TestIncrementalDecoding:
         labels = np.zeros_like(ids)
         rt = DecodeRuntime(m, token_ids[None], len(ids) + 1)
         for i in range(len(ids)):
-            inc = rt.step_logits(ids[i:i + 1], labels[i:i + 1])[0]
+            inc = rt.step_logits(ids[None, i:i + 1], labels[None, i:i + 1])[0, 0]
             with T.no_grad(), T.rowwise_kernels():
                 slow = m.sequence_logits(token_ids, ids[:i + 1], labels[:i + 1]).data[-1]
             np.testing.assert_array_equal(inc, slow)
@@ -373,7 +373,8 @@ class TestIncrementalDecoding:
         ids = np.array([layout.start_id, 0, 5, layout.sep_id])
         labels = np.array([0, 0, 0, 1])
         rt = DecodeRuntime(m, token_ids[None], len(ids) + 1)
-        steps = [rt.step_logits(ids[i:i + 1], labels[i:i + 1])[0] for i in range(len(ids))]
+        steps = [rt.step_logits(ids[None, i:i + 1], labels[None, i:i + 1])[0, 0]
+                 for i in range(len(ids))]
         with T.no_grad(), T.rowwise_kernels():
             full = m.sequence_logits(token_ids, ids, labels).data
         assert full.tobytes() == np.stack(steps).tobytes()
@@ -387,29 +388,29 @@ class TestIncrementalDecoding:
         kept = [1, 3]
         rt = DecodeRuntime(m, token_ids, 5)
         for i in range(2):
-            rt.step_logits(ids[i], labels[i])
+            rt.step_logits(ids[i, :, None], labels[i, :, None])
         rt.keep(kept)
         ref = DecodeRuntime(m, token_ids[kept], 5)
         for i in range(2):
-            ref.step_logits(ids[i, kept], labels[i, kept])
+            ref.step_logits(ids[i, kept, None], labels[i, kept, None])
         np.testing.assert_array_equal(rt.E, ref.E)
         for kv, ref_kv in zip(rt.cross, ref.cross):
             for t, ref_t in zip(kv, ref_kv):
                 np.testing.assert_array_equal(t.data, ref_t.data)
         assert rt.length == ref.length == 2
-        np.testing.assert_array_equal(rt.step_logits(ids[2, kept], labels[2, kept]),
-                                      ref.step_logits(ids[2, kept], labels[2, kept]))
+        np.testing.assert_array_equal(rt.step_logits(ids[2, kept, None], labels[2, kept, None]),
+                                      ref.step_logits(ids[2, kept, None], labels[2, kept, None]))
 
     def test_step_past_the_last_cache_row_is_rejected(self, two_type_schema):
         m = tiny_model(two_type_schema, dec_layers=2)
         layout = build_layout(3, two_type_schema, 3)
         rt = DecodeRuntime(m, np.array([[1, 2, 3]]), 2)
         for sym_id in (layout.start_id, 0):
-            rt.step_logits(np.array([sym_id]), np.array([0]))
+            rt.step_logits(np.array([[sym_id]]), np.array([[0]]))
         keys = [k.copy() for k in rt.keys]
         values = [v.copy() for v in rt.values]
         with pytest.raises(ValueError, match="row 3 overflows a cache of 2 rows"):
-            rt.step_logits(np.array([layout.sep_id]), np.array([0]))
+            rt.step_logits(np.array([[layout.sep_id]]), np.array([[0]]))
         assert rt.length == 2
         for a, b in zip(rt.keys + rt.values, keys + values):
             np.testing.assert_array_equal(a, b)
@@ -428,7 +429,7 @@ class TestDecodeStepMemory:
         rt.length = rows - 1
         tracemalloc.start()
         try:
-            rt.step_logits(np.array([layout.sep_id]), np.array([0]))
+            rt.step_logits(np.array([[layout.sep_id]]), np.array([[0]]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -4,10 +4,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spangraph import tensor as T
 from spangraph.data import load_dataset, make_synthetic
-from spangraph.graph import Document, EntitySpan, IEGraph, Relation, Schema
+from spangraph.graph import Document, EntitySpan, IEGraph, Relation, Schema, validate_graph
 from spangraph.grammar import structural_labels
 from spangraph.linearize import Ordering, linearize
 from spangraph.model import Model, ModelConfig, WordVocab
@@ -26,7 +28,7 @@ from spangraph.train import (
     lr_at,
     train_loop,
 )
-from _helpers import make_schema, tiny_model
+from _helpers import make_doc, make_schema, random_graph, schemas, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,26 @@ class TestEncodeExample:
         graph = IEGraph((EntitySpan(0, 0, 0), EntitySpan(2, 2, 1)), (Relation(0, 1, 0),))
         with pytest.raises(GoldIllegalUnderMask):
             encode_example(m, doc, graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(schema=schemas(), n_tokens=st.integers(1, 8), width=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_masks_admit_every_graph_the_loader_accepts(self, schema, n_tokens, width, seed):
+        # the grammar and the data validator speak one language: a graph that
+        # passes validate_graph and the loader's allowed-pairs check
+        # linearizes, in either ordering, to gold symbols the masks admit
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n_tokens, width, schema.n_entity_types,
+                             schema.n_relation_types, max_entities=6, max_relations=8)
+        graph = IEGraph(graph.entities, tuple(
+            r for r in graph.relations if r.rel_type_id in schema.allowed_relations(
+                graph.entities[r.head].type_id, graph.entities[r.tail].type_id)))
+        doc = make_doc(n_tokens)
+        validate_graph(graph, doc, max_width=width)
+        m = tiny_model(schema, max_span_width=width)
+        for ordering in Ordering:
+            _, ids, _, masks = encode_example(m, doc, graph, ordering, rng)
+            assert masks[np.arange(len(ids) - 1), ids[1:]].all()
 
 
 class TestExampleLoss:
