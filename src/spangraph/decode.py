@@ -45,7 +45,9 @@ BATCH_BYTES = 2 * 2**20
 # At L = 100 a k-row step takes about 0.6 ms at k = 1, 1.6 ms at k = 8 and
 # 2.5 ms at k = 16 (float32, one BLAS thread), so a decode-long triple loop,
 # whose drafts are always accepted, decodes 8 symbols in the time of about
-# 3 one-row steps.  CHANGES.md has a sweep of 3, 7, 11 and 15.
+# 3 one-row steps; a rejected row costs about 0.14 ms, which is why a
+# sentence drafts only as far as its drafts have been right.  CHANGES.md
+# has a sweep of 3, 7, 11 and 15.
 DRAFT = 7
 
 
@@ -143,24 +145,25 @@ def _draft(ids: list[int]) -> Iterable[int]:
 
 
 def _walk_draft(state: DecodeState, draft: Iterable[int],
-                layout: VocabLayout) -> tuple[list[int], list[DecodeState]]:
-    """The draft's ids up to its first illegal symbol or END, and the grammar states.
+                layout: VocabLayout) -> tuple[list[int], list[int]]:
+    """The draft's ids up to its first illegal symbol or END, and their labels.
 
-    ``states[j]`` is the state before draft id j, so its phase is that
-    symbol's structural label; the last state follows the last kept id.
+    Walking the draft with ``advance`` gives each kept id the structural
+    label (the grammar phase before it) that the one-row step would feed.
     """
-    kept, states = [], [state]
+    kept, labels = [], []
     for i in draft:
         try:
             sym = id_to_symbol(layout, i)
             if sym is END:
                 break
-            state = advance(state, sym)
+            after = advance(state, sym)
         except (IdOutOfRange, IllegalTransition):
             break
         kept.append(i)
-        states.append(state)
-    return kept, states
+        labels.append(int(state.phase))
+        state = after
+    return kept, labels
 
 
 def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
@@ -169,7 +172,8 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
 
     ``fast`` extends a key/value cache and drafts: each sentence guesses its
     next symbols from its own history (``_draft``), kept only as far as the
-    grammar admits them, and a step feeds the last symbol plus the shortest
+    grammar admits them and no longer than its streak of picks that its
+    drafts predicted, and a step feeds the last symbol plus the shortest
     draft among the live sentences, at most ``DRAFT``, as one multi-row
     call.  Row j's pick is made under row j's mask exactly as a one-row step
     would make it, and the picks are kept while every sentence's pick equals
@@ -192,20 +196,24 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
     labels = [[int(Phase.NODE)] for _ in docs]
     step_logits: list[list[np.ndarray]] = [[] for _ in docs]
     calls = [0] * len(docs)
+    streak = [0] * len(docs)  # the sentence's latest picks that its drafts predicted
     while live:
-        # draft rows that keep the cache's last row free; live sentences share a length
-        room = min(DRAFT, max_len - len(symbols[live[0]]) - 1) if fast else 0
-        walks = []
-        for b in live:
-            draft = itertools.islice(_draft(ids[b]), room) if room else ()
-            walks.append(_walk_draft(states[b], draft, layout))
-            room = min(room, len(walks[-1][0]))
+        room, drafts = 0, [[] for _ in live]
         if fast:
-            fed = [[ids[b][-1]] + walk[:room] for b, (walk, _) in zip(live, walks)]
-            fed_labels = [[labels[b][-1]] + [int(s.phase) for s in walk_states[:room]]
-                          for b, (_, walk_states) in zip(live, walks)]
+            # draft rows that keep the cache's last row free; live sentences share a length
+            room = min(DRAFT, max_len - len(symbols[live[0]]) - 1)
+            # a sentence drafts as far as its streak; one id more, never fed,
+            # checks the last row's pick, so drafts that are wrong cost no rows
+            walks = [_walk_draft(states[b], itertools.islice(_draft(ids[b]),
+                                                             min(room, streak[b]) + 1), layout)
+                     for b in live]
+            drafts = [kept for kept, _ in walks]
+            room = min([room] + [min(streak[b], len(kept)) for b, kept in zip(live, drafts)])
             start = runtime.length
-            logits = runtime.step_logits(np.array(fed), np.array(fed_labels))
+            logits = runtime.step_logits(
+                np.array([[ids[b][-1]] + kept[:room] for b, kept in zip(live, drafts)]),
+                np.array([[labels[b][-1]] + walk_labels[:room] for b, (_, walk_labels)
+                          in zip(live, walks)]))
         else:
             with no_grad(), rowwise_kernels():
                 logits = np.stack([model.sequence_logits(tokens[b], ids[b], labels[b]).data[-1:]
@@ -219,22 +227,24 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
                                         np.random.default_rng([config.seed, len(ids[b])]))
                          for r, b in enumerate(live)]
             confirmed = j < room  # every pick equals its sentence's next fed symbol
-            for r, (b, pick) in enumerate(zip(live, picks)):
-                if keep_logits:
-                    step_logits[b].append(logits[r, j])
+            for b, pick, draft in zip(live, picks, drafts):
+                predicted = j < len(draft) and pick == draft[j]
+                streak[b] = streak[b] + 1 if predicted else 0
+                confirmed = confirmed and predicted
                 sym = id_to_symbol(layout, pick)
                 labels[b].append(int(states[b].phase))
-                if j < room and pick == walks[r][0][j]:
-                    states[b] = walks[r][1][j + 1]
-                else:
-                    states[b] = advance(states[b], sym)
-                    confirmed = False
+                states[b] = advance(states[b], sym)
                 symbols[b].append(sym)
                 ids[b].append(pick)
             if not confirmed:
                 break
         if fast:
             runtime.length = start + j + 1
+        if keep_logits:
+            # after a rejection keep a copy of the accepted rows, not views that hold them all
+            kept_rows = logits if j + 1 == logits.shape[1] else logits[:, :j + 1].copy()
+            for b, rows in zip(live, kept_rows):
+                step_logits[b].extend(rows)
         for b in live:
             calls[b] += 1
         keep = [r for r, b in enumerate(live)

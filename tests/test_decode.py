@@ -533,9 +533,9 @@ class TestDraft:
         node = advance(advance(initial_state(), SpanSym(0, 0, 0)), SpanSym(1, 1, 0))
         head = advance(node, SEP)
         # a triple walks whole; a second SEP is illegal in HEAD
-        kept, states = decode._walk_draft(head, [a, b, rel, layout.sep_id, a], layout)
+        kept, labels = decode._walk_draft(head, [a, b, rel, layout.sep_id, a], layout)
         assert kept == [a, b, rel]
-        assert [s.phase for s in states] == [Phase.HEAD, Phase.TAIL, Phase.REL, Phase.HEAD]
+        assert labels == [Phase.HEAD, Phase.TAIL, Phase.REL]
         assert decode._walk_draft(head, [a, b, rel, layout.end_id, a], layout)[0] == [a, b, rel]
         assert decode._walk_draft(head, [a, layout.V, b], layout)[0] == [a]
         assert decode._walk_draft(head, [-1, a], layout)[0] == []
@@ -583,27 +583,46 @@ class TestDraftAndVerify:
     def _decode(self, m, docs, cfg):
         return [generate(m, doc, cfg) for doc in docs], generate_batch(m, docs, cfg)
 
+    @staticmethod
+    def _truth(want, ids) -> list[int]:
+        """What some reference decode of the prefix ``ids`` went on with."""
+        return next((r.ids[len(ids):] for r in want if r.ids[:len(ids)] == ids), [])
+
+    def _legal_but_wrong(self, docs, ids, truth) -> list[int]:
+        """An id the grammar admits after ``ids`` other than ``truth[0]`` and END, if any."""
+        if not truth:
+            return []
+        layouts = [build_layout(n, self.SCHEMA, 3) for n in sorted({len(doc) for doc in docs})]
+        layout = next(lay for lay in layouts if max(ids) < lay.V)
+        state = initial_state()
+        for i in ids[1:]:
+            state = advance(state, id_to_symbol(layout, i))
+        legal = np.flatnonzero(legal_mask(state, layout, self.SCHEMA)).tolist()
+        return [i for i in legal if i not in (truth[0], layout.end_id)][:1]
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["greedy", "max_len", "nucleus"])
     def test_garbage_drafts_change_no_output(self, monkeypatch, cfg, dtype):
         m, docs = self._model(dtype), self._docs()
         want, want_batch = self._decode(m, docs, cfg)
         rng = np.random.default_rng(0)
-        real = decode._draft
         n_vocab = max(build_layout(len(doc), self.SCHEMA, 3).V for doc in docs)
 
         def garbage(ids):
-            honest = list(itertools.islice(real(ids), 16))
-            kind = rng.integers(5)
+            # often right, so that drafts are fed, and otherwise wrong after a while
+            truth = self._truth(want, ids)
+            at = int(rng.integers(len(truth) + 1))
+            right = truth[:at]
+            kind = rng.integers(8)
             if kind == 0:  # random ids, some outside the layout
-                return rng.integers(-2, n_vocab + 2, size=16).tolist()
+                return right + rng.integers(-2, n_vocab + 2, size=16).tolist()
             if kind == 1:  # START, never legal
-                return [ids[0]] * 4
-            if kind == 2 and honest:  # an early END, whose id follows START's
-                return honest[:rng.integers(len(honest))] + [ids[0] + 1] + honest
-            if kind == 3 and honest:  # one wrong id inside an honest draft
-                honest[rng.integers(len(honest))] = int(rng.integers(n_vocab))
-            return honest
+                return right + [ids[0]] * 4
+            if kind == 2:  # an early END, whose id follows START's
+                return right + [ids[0] + 1] + truth
+            if kind == 3:  # one wrong id that the grammar admits
+                return right + self._legal_but_wrong(docs, ids + right, truth[at:]) + truth[at + 1:]
+            return truth
 
         monkeypatch.setattr(decode, "_draft", garbage)
         steps = _step_spy(monkeypatch)
@@ -614,6 +633,27 @@ class TestDraftAndVerify:
         fed = sum(k for _, k, _ in steps[:sum(r.decoder_calls for r in got)])
         assert max(k for _, k, _ in steps) > 1
         assert fed > sum(len(r.step_logits) for r in got)
+        # the kept logits hold no rejected row: each row's memory is reported
+        for res in got:
+            bases = {id(x.base): x.base for x in res.step_logits}
+            assert sum(x.nbytes for x in bases.values()) == sum(x.nbytes for x in res.step_logits)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["greedy", "max_len", "nucleus"])
+    def test_drafts_that_are_never_right_feed_no_rows(self, monkeypatch, cfg):
+        """A legal draft whose first id is always wrong leaves every step one row."""
+        m, docs = self._model(), self._docs()
+        want, want_batch = self._decode(m, docs, cfg)
+
+        def wrong(ids):
+            truth = self._truth(want, ids)
+            return self._legal_but_wrong(docs, ids, truth) + truth[1:]
+
+        monkeypatch.setattr(decode, "_draft", wrong)
+        steps = _step_spy(monkeypatch)
+        got, got_batch = self._decode(m, docs, cfg)
+        assert _same_results(got, want)
+        assert [r.ids for r in got_batch] == [r.ids for r in want_batch]
+        assert {k for _, k, _ in steps} == {1}
 
     def test_decoder_calls_count_the_steps_a_sentence_was_live_for(self, monkeypatch):
         m, docs = self._model(), self._docs()
@@ -688,7 +728,9 @@ class TestDraftsOnTheBenchmarkModel:
         got, got_batch = self._decode(model, docs, cfg)
         assert _same_results(got, want)
         assert [r.ids for r in got_batch] == [r.ids for r in want_batch]
-        assert max(k for _, k, _ in steps) == 3
+        assert max(k for _, k, _ in steps) <= 3
+        if cfg.max_len is None:  # the short budget ends decoding before drafts ramp up
+            assert max(k for _, k, _ in steps) == 3
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["greedy", "max_len", "nucleus"])
     def test_budget_caps_the_rows_below_the_last_cache_row(self, monkeypatch, bench_sentences,
@@ -702,7 +744,8 @@ class TestDraftsOnTheBenchmarkModel:
         assert [r.ids for r in got_batch] == [r.ids for r in want_batch]
         assert all(start + k < rows for start, k, rows in steps)
         # drafts ran up to the budget: a multi-row step ended one row short of the end
-        assert any(start + k == rows - 1 and k > 2 for start, k, rows in steps)
+        if cfg.max_len is None:
+            assert any(start + k == rows - 1 and k > 2 for start, k, rows in steps)
 
     def test_no_step_reaches_the_last_cache_row(self, monkeypatch, bench_sentences, long_input):
         model, docs = bench_sentences
@@ -713,10 +756,16 @@ class TestDraftsOnTheBenchmarkModel:
         assert all(start + k < rows for start, k, rows in steps)
         assert max(k for _, k, _ in steps) == decode.DRAFT + 1
 
-    def test_a_repeating_long_input_makes_a_third_of_the_calls(self, long_input):
+    def test_a_repeating_long_input_makes_a_third_of_the_calls(self, monkeypatch, long_input):
         model, doc = long_input
+        steps = _step_spy(monkeypatch)
         res = generate(model, doc)
         # the input runs to its budget, one triple repeated
         assert res.truncated
         assert len(res.step_logits) == decode._length_budget(model, DecodeConfig(), 100) - 1
         assert 3 * res.decoder_calls <= len(res.step_logits)
+        # drafts grow with the picks they predicted: 1, 3, then DRAFT rows
+        rows = [k for _, k, _ in steps]
+        first = rows.index(2)
+        assert set(rows[:first]) == {1}
+        assert rows[first:first + 3] == [2, 4, decode.DRAFT + 1]
