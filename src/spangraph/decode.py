@@ -42,13 +42,17 @@ from .vocab import IdOutOfRange, VocabLayout, build_layout, id_to_symbol, symbol
 BATCH_BYTES = 2 * 2**20
 
 # A cached step feeds at most this many drafted symbols after the last one.
-# At L = 100 a k-row step takes about 0.6 ms at k = 1, 1.6 ms at k = 8 and
-# 2.5 ms at k = 16 (float32, one BLAS thread), so a decode-long triple loop,
-# whose drafts are always accepted, decodes 8 symbols in the time of about
-# 3 one-row steps; a rejected row costs about 0.14 ms, which is why a
-# sentence drafts only as far as its drafts have been right.  CHANGES.md
-# has a sweep of 3, 7, 11 and 15.
-DRAFT = 7
+# At L = 100 a k-row step takes about 0.29 ms at k = 1, 0.65 ms at k = 8 and
+# 1.6 ms at k = 32 (float32, one BLAS thread): about 42 us per drafted row,
+# so a decode-long triple loop, whose drafts are always accepted, decodes 32
+# symbols in the time of about 5.5 one-row steps.  A sentence drafts only as
+# far as its drafts have been right, so its rows double (2, 4, 8, ...) up to
+# this cap.  A sweep of 7, 15, 31 and 63 put decode-long ``generate`` at
+# 0.85, 0.68, 0.64 and 0.63 of its time at 7 with the old per-row attention,
+# and moved short and non-repeating output by no more than their spread; 31
+# keeps most of the gain at half the rows a wrong long draft can waste.
+# CHANGES.md has the sweep.
+DRAFT = 31
 
 
 @dataclass(frozen=True)
@@ -144,26 +148,27 @@ def _draft(ids: list[int]) -> Iterable[int]:
     return itertools.cycle(ids[at + 1:])
 
 
-def _walk_draft(state: DecodeState, draft: Iterable[int],
-                layout: VocabLayout) -> tuple[list[int], list[int]]:
-    """The draft's ids up to its first illegal symbol or END, and their labels.
+def _walk_draft(state: DecodeState, draft: Iterable[int], layout: VocabLayout
+                ) -> tuple[list[int], list[Symbol], list[DecodeState]]:
+    """The draft's ids up to its first illegal symbol or END, their symbols, and the states.
 
-    Walking the draft with ``advance`` gives each kept id the structural
-    label (the grammar phase before it) that the one-row step would feed.
+    The states are ``state`` and the state after each kept id: the state
+    before each kept id gives it the structural label (its phase) that the
+    one-row step would feed, and the mask its row's pick is made under.
     """
-    kept, labels = [], []
+    kept, symbols, states = [], [], [state]
     for i in draft:
         try:
             sym = id_to_symbol(layout, i)
             if sym is END:
                 break
-            after = advance(state, sym)
+            state = advance(state, sym)
         except (IdOutOfRange, IllegalTransition):
             break
         kept.append(i)
-        labels.append(int(state.phase))
-        state = after
-    return kept, labels
+        symbols.append(sym)
+        states.append(state)
+    return kept, symbols, states
 
 
 def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
@@ -175,13 +180,15 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
     grammar admits them and no longer than its streak of picks that its
     drafts predicted, and a step feeds the last symbol plus the shortest
     draft among the live sentences, at most ``DRAFT``, as one multi-row
-    call.  Row j's pick is made under row j's mask exactly as a one-row step
-    would make it, and the picks are kept while every sentence's pick equals
-    its fed draft symbol; the rest of the rows are overwritten by the next
-    step.  No step reaches the cache's last row (the last symbol is never
+    call.  Row j's pick is made under the mask of the draft's walk state
+    before it, exactly as a one-row step would make it; the step keeps the
+    longest run of rows in which every sentence's pick equals its fed draft
+    symbol, plus the row that breaks it, and the next step overwrites the
+    rest.  No step reaches the cache's last row (the last symbol is never
     fed).  ``fast=False`` runs ``sequence_logits`` over each whole prefix,
-    one symbol per step.  A sentence leaves the batch at END or at the
-    length budget, so the work follows the sentences still decoding.
+    one row per step with a walk of one state.  A sentence leaves the batch
+    at END or at the length budget, so the work follows the sentences still
+    decoding.
     """
     n_tokens = len(docs[0])
     layout = build_layout(n_tokens, model.schema, model.config.max_span_width)
@@ -198,7 +205,6 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
     calls = [0] * len(docs)
     streak = [0] * len(docs)  # the sentence's latest picks that its drafts predicted
     while live:
-        room, drafts = 0, [[] for _ in live]
         if fast:
             # draft rows that keep the cache's last row free; live sentences share a length
             room = min(DRAFT, max_len - len(symbols[live[0]]) - 1)
@@ -207,39 +213,45 @@ def _decode_lockstep(model: Model, docs, config: DecodeConfig, fast: bool,
             walks = [_walk_draft(states[b], itertools.islice(_draft(ids[b]),
                                                              min(room, streak[b]) + 1), layout)
                      for b in live]
-            drafts = [kept for kept, _ in walks]
-            room = min([room] + [min(streak[b], len(kept)) for b, kept in zip(live, drafts)])
-            start = runtime.length
-            logits = runtime.step_logits(
-                np.array([[ids[b][-1]] + kept[:room] for b, kept in zip(live, drafts)]),
-                np.array([[labels[b][-1]] + walk_labels[:room] for b, (_, walk_labels)
-                          in zip(live, walks)]))
+            room = min([room] + [min(streak[b], len(kept)) for b, (kept, _, _) in zip(live, walks)])
+        else:
+            room, walks = 0, [([], [], [states[b]]) for b in live]
+        fed = np.array([[ids[b][-1]] + kept[:room] for b, (kept, _, _) in zip(live, walks)])
+        if fast:
+            logits = runtime.step_logits(fed, np.array(
+                [[labels[b][-1]] + [int(s.phase) for s in walked[:room]]
+                 for b, (_, _, walked) in zip(live, walks)]))
         else:
             with no_grad(), rowwise_kernels():
                 logits = np.stack([model.sequence_logits(tokens[b], ids[b], labels[b]).data[-1:]
                                    for b in live])
-        for j in range(room + 1):
-            masks = np.stack([legal_mask(states[b], layout, model.schema) for b in live])
-            if config.mode == "greedy":
-                picks = np.argmax(np.where(masks, logits[:, j], -np.inf), axis=1).tolist()
-            else:
-                picks = [nucleus_select(logits[r, j], masks[r], config.top_p,
-                                        np.random.default_rng([config.seed, len(ids[b])]))
-                         for r, b in enumerate(live)]
-            confirmed = j < room  # every pick equals its sentence's next fed symbol
-            for b, pick, draft in zip(live, picks, drafts):
-                predicted = j < len(draft) and pick == draft[j]
-                streak[b] = streak[b] + 1 if predicted else 0
-                confirmed = confirmed and predicted
-                sym = id_to_symbol(layout, pick)
-                labels[b].append(int(states[b].phase))
-                states[b] = advance(states[b], sym)
-                symbols[b].append(sym)
-                ids[b].append(pick)
-            if not confirmed:
-                break
-        if fast:
-            runtime.length = start + j + 1
+        # row j's mask comes from the walk's state before its pick
+        masks = np.array([[legal_mask(s, layout, model.schema) for s in walked[:room + 1]]
+                          for _, _, walked in walks])
+        if config.mode == "greedy":
+            picks = np.argmax(np.where(masks, logits, -np.inf), axis=2)
+        else:
+            # row by row: past a draft symbol the mask rejects, a row may have no legal symbol
+            picks = np.zeros(fed.shape, np.int64)
+            for j in range(room + 1):
+                picks[:, j] = [nucleus_select(logits[r, j], masks[r, j], config.top_p,
+                                              np.random.default_rng([config.seed, len(ids[b]) + j]))
+                               for r, b in enumerate(live)]
+                if j < room and (picks[:, j] != fed[:, j + 1]).any():
+                    break
+        # keep rows up to the first one in which some pick differs from its fed draft
+        j = int(np.append((picks[:, :-1] == fed[:, 1:]).all(axis=0), False).argmin())
+        for r, b in enumerate(live):
+            kept, walked_symbols, walked = walks[r]
+            pick = int(picks[r, j])
+            streak[b] = streak[b] + j + 1 if j < len(kept) and pick == kept[j] else 0
+            sym = id_to_symbol(layout, pick)
+            labels[b].extend(int(s.phase) for s in walked[:j + 1])
+            states[b] = advance(walked[j], sym)
+            symbols[b].extend(walked_symbols[:j])
+            symbols[b].append(sym)
+            ids[b].extend(picks[r, :j + 1].tolist())
+        runtime.length -= room - j  # the next step overwrites the rejected rows
         if keep_logits:
             # after a rejection keep a copy of the accepted rows, not views that hold them all
             kept_rows = logits if j + 1 == logits.shape[1] else logits[:, :j + 1].copy()

@@ -12,11 +12,14 @@ splits its operands into heads inside, and also takes keys and values
 already in its head layout (``split_heads``), as a decoding cache stores them.
 
 ``rowwise_kernels`` switches matrix multiplication (per head in ``attention``)
-to one BLAS call per output row, and masked ``attention`` to one query row at
-a time: a row's arithmetic is then the same calls on the same operands however
-many rows run with it.  Decoding relies on this: a row computed alone is
-bit-equal to the same row inside a larger product, which one blocked BLAS call
-does not guarantee.
+to one BLAS call per output row, and masked ``attention`` to reading each
+query row's own key prefix alone: a row's arithmetic is then the same calls on
+the same operands however many rows run with it.  Decoding relies on this: a
+row computed alone is bit-equal to the same row inside a larger product, which
+one blocked BLAS call does not guarantee.  Only what reduces over a row's keys
+depends on their count (its score product, the sum of its exp weights and its
+weights @ values), so only that runs row by row; elementwise steps, and the
+order-free max, run once over the whole block.
 """
 
 from __future__ import annotations
@@ -82,8 +85,12 @@ def debug_check_finite():
 
 
 def matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product, batched over any leading axes; row by row under ``rowwise_kernels``."""
-    if _rowwise:
+    """Matrix product, batched over any leading axes; row by row under ``rowwise_kernels``.
+
+    A one-row left operand is already one row: ``a @ b`` is the single call
+    the row kernel would make.
+    """
+    if _rowwise and a.shape[-2] != 1:
         return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
     return a @ b
 
@@ -389,9 +396,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     uses column block h (width D / heads) of q, k and v and writes the same
     block of the output.  ``mask`` is (m, n), shared by every group, True
     where a query may attend; under ``rowwise_kernels`` its rows must be key
-    prefixes, each query reading its own alone.  Train-mode dropout on the
-    weights draws one ``rng.random((G, heads, m, n))``; ``sink`` gets the
-    weights before it, (heads, M, N) for one group, else (G, heads, m, n).
+    prefixes, each query reading its own alone: a row's score product, exp
+    sum and weights @ values see exactly its prefix, while the scale,
+    max-shift, exp and divide run once over the (G, heads, m, n) block with
+    -inf past each prefix, which leaves the same bits and zero weights
+    there.  Train-mode dropout on the weights draws one
+    ``rng.random((G, heads, m, n))``; ``sink`` gets the weights before it,
+    (heads, M, N) for one group, else (G, heads, m, n).
 
     ``k`` and ``v`` may instead come already in the head layout of
     ``split_heads``, k as (G, heads, dk, n) and v as (G, heads, n, dk), with
@@ -426,15 +437,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
         raise ShapeMismatch("under rowwise_kernels every mask row must be a key prefix")
     else:  # a spare key column: even the longest prefix is a strided view, as in a cache
         kt = kt if split_kv else np.concatenate([kt, kt[..., :1]], axis=-1)[..., :n]
-        w = np.zeros(qh.shape[:3] + (n,), q.dtype)
+        prefixes = prefixes.tolist()
+        # a row's scores and its exp sum read its own key prefix alone; the
+        # scale, max-shift, exp and divide act elementwise (the max is
+        # order-free), so they run once over the block, -inf past each prefix
+        w = np.full(qh.shape[:3] + (n,), -np.inf, q.dtype)
         for i, p in enumerate(prefixes):
-            w[..., [i], :p] = masked_softmax_np(matmul_np(qh[..., [i], :], kt[..., :p]) * scale)
+            w[..., i:i + 1, :p] = matmul_np(qh[..., i:i + 1, :], kt[..., :p])
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= np.concatenate([w[..., i:i + 1, :p].sum(axis=-1, keepdims=True)
+                             for i, p in enumerate(prefixes)], 2)
     if sink is not None:
         sink.append(w[0] if groups == 1 else w)
     drop = _dropout_scale(w.shape, dropout_p, rng, w.dtype) if train and dropout_p > 0 else None
     wd = w if drop is None else w * drop
     out_data = merge(matmul_np(wd, vh) if prefixes is None else np.concatenate(
-        [matmul_np(wd[..., [i], :p], vh[..., :p, :]) for i, p in enumerate(prefixes)], 2))
+        [matmul_np(wd[..., i:i + 1, :p], vh[..., :p, :]) for i, p in enumerate(prefixes)], 2))
 
     def backward(g):
         gh = split_heads(g, groups, heads)

@@ -8,6 +8,8 @@ become legal under the grammar mask.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,14 +108,27 @@ def symbol_to_id(layout: VocabLayout, sym: Symbol) -> int:
     raise SymbolOutOfLayout(f"not a vocabulary symbol: {sym!r}")
 
 
+# One object per span and per relation type: a decoded sequence, and every
+# result that keeps one, holds references instead of fresh instances.  The
+# cache holds at most L * K * C spans for the longest L a layout was built for.
+_span_sym = functools.cache(SpanSym)
+_rel_sym = functools.cache(RelSym)
+
+
 def id_to_symbol(layout: VocabLayout, idx: int) -> Symbol:
+    """The symbol of ``idx``: one shared object per span and per relation type.
+
+    ``idx`` is taken as a Python int (``operator.index``), so a shared symbol
+    never carries a numpy integer from one caller to the next.
+    """
+    idx = operator.index(idx)
     if not (0 <= idx < layout.V):
         raise IdOutOfRange(f"id {idx} not in [0, {layout.V})")
     if idx < layout.n_span_ids:
         start_width, type_id = divmod(idx, layout.C)
         start, w = divmod(start_width, layout.K)
-        return SpanSym(start, start + w, type_id)
+        return _span_sym(start, start + w, type_id)
     idx -= layout.n_span_ids
     if idx < layout.T:
         return SPECIAL_ORDER[idx]
-    return RelSym(idx - layout.T)
+    return _rel_sym(idx - layout.T)

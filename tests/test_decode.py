@@ -533,12 +533,17 @@ class TestDraft:
         node = advance(advance(initial_state(), SpanSym(0, 0, 0)), SpanSym(1, 1, 0))
         head = advance(node, SEP)
         # a triple walks whole; a second SEP is illegal in HEAD
-        kept, labels = decode._walk_draft(head, [a, b, rel, layout.sep_id, a], layout)
+        kept, syms, states = decode._walk_draft(head, [a, b, rel, layout.sep_id, a], layout)
         assert kept == [a, b, rel]
-        assert labels == [Phase.HEAD, Phase.TAIL, Phase.REL]
+        assert syms == [SpanSym(0, 0, 0), SpanSym(1, 1, 0), RelSym(0)]
+        # the states before each kept id and after the last, as advance makes them
+        assert states[0] is head
+        assert [s.phase for s in states] == [Phase.HEAD, Phase.TAIL, Phase.REL, Phase.HEAD]
+        assert states[2].pending_head == SpanSym(0, 0, 0)
+        assert states[3].pending_head is None and not states[3].finished
         assert decode._walk_draft(head, [a, b, rel, layout.end_id, a], layout)[0] == [a, b, rel]
         assert decode._walk_draft(head, [a, layout.V, b], layout)[0] == [a]
-        assert decode._walk_draft(head, [-1, a], layout)[0] == []
+        assert decode._walk_draft(head, [-1, a], layout) == ([], [], [head])
         assert decode._walk_draft(node, [layout.start_id], layout)[0] == []
 
 
@@ -747,6 +752,47 @@ class TestDraftsOnTheBenchmarkModel:
         if cfg.max_len is None:
             assert any(start + k == rows - 1 and k > 2 for start, k, rows in steps)
 
+    # a nucleus of one id repeats the triple as greedy does, so drafts reach DRAFT rows
+    @pytest.mark.parametrize("cfg", [DecodeConfig(), DecodeConfig(mode="nucleus", top_p=0.01)],
+                             ids=["greedy", "nucleus"])
+    def test_rows_fed_past_a_masked_draft_symbol_change_no_output(self, monkeypatch, long_input,
+                                                                   cfg):
+        """A drafted tail that ``advance`` takes but the mask rules out is rejected.
+
+        The checkpoint relates type-0 heads to type-1 tails only, so after a
+        type-0 tail under a type-0 head the REL state admits no symbol.  The
+        rows fed after that tail must not be picked from.
+        """
+        model, doc = long_input
+        want = generate(model, doc, cfg)
+        layout = build_layout(len(doc), model.schema, model.config.max_span_width)
+        sep = want.ids.index(layout.sep_id)
+        head, tail, _ = want.ids[sep + 1:sep + 4]
+        wrong = next(i for i in want.ids[1:sep] if i % layout.C == head % layout.C and i != head)
+        assert not model.schema.relation_table[head % layout.C, wrong % layout.C].any()
+        draft, swapped = decode._draft, []
+
+        def once(ids):
+            # deep in the triple loop, where drafts run to DRAFT rows, swap one tail
+            out = list(itertools.islice(draft(ids), 2 * decode.DRAFT + 2))
+            if len(ids) > 200 and not swapped and tail in out[:2]:
+                swapped.append((len(ids), out.index(tail)))
+                out[out.index(tail)] = wrong
+            return out
+
+        monkeypatch.setattr(decode, "_draft", once)
+        steps = _step_spy(monkeypatch)
+        assert _same_results([generate(model, doc, cfg)], [want])
+        # the step that fed the wrong tail (row at + 1) fed a row after it too
+        (n_ids, at), = swapped
+        assert any(start == n_ids - 1 and k > at + 2 for start, k, _ in steps)
+
+    def test_a_result_holds_one_object_per_distinct_symbol(self, long_input):
+        # the repeated triple's symbols are shared, not fresh instances per step
+        model, doc = long_input
+        symbols = generate(model, doc).sequence.symbols
+        assert len({id(s) for s in symbols}) == len(set(symbols)) < len(symbols) // 2
+
     def test_no_step_reaches_the_last_cache_row(self, monkeypatch, bench_sentences, long_input):
         model, docs = bench_sentences
         steps = _step_spy(monkeypatch)
@@ -763,9 +809,14 @@ class TestDraftsOnTheBenchmarkModel:
         # the input runs to its budget, one triple repeated
         assert res.truncated
         assert len(res.step_logits) == decode._length_budget(model, DecodeConfig(), 100) - 1
-        assert 3 * res.decoder_calls <= len(res.step_logits)
-        # drafts grow with the picks they predicted: 1, 3, then DRAFT rows
+        # fewer than a fifth: 70 calls for its 402 symbols at DRAFT = 31
+        assert 5 * res.decoder_calls <= len(res.step_logits)
+        # drafts grow with the picks they predicted: rows double, 2, 4, 8, ...,
+        # up to DRAFT + 1
         rows = [k for _, k, _ in steps]
         first = rows.index(2)
         assert set(rows[:first]) == {1}
-        assert rows[first:first + 3] == [2, 4, decode.DRAFT + 1]
+        ramp = [2]
+        while ramp[-1] < decode.DRAFT + 1:
+            ramp.append(min(2 * ramp[-1], decode.DRAFT + 1))
+        assert rows[first:first + len(ramp)] == ramp

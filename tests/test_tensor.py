@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spangraph import tensor as T
+from spangraph.decode import DRAFT
 from _gradcheck import check_op
 from _helpers import reference_mean_last
 
@@ -161,6 +162,29 @@ class TestRowwiseMatmul:
             for b in range(4):
                 alone = T.matmul_np(_unaligned(z[b]), _unaligned(E[b]).T)
                 assert (alone == full[b]).all()
+
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k", [5, 67])
+    @pytest.mark.parametrize("n", [1, 2, 403])
+    def test_one_row_left_operand_is_the_row_kernel(self, rng, dtype, k, n):
+        # a one-row product runs as ``a @ b``, the single call the row kernel makes
+        def row_kernel(a, b):
+            return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
+
+        block = rng.standard_normal((2, 3, 5, k + 4)).astype(dtype)
+        b = rng.standard_normal((2, 3, k, n)).astype(dtype)
+        E = rng.standard_normal((2, 3, n, k)).astype(dtype)
+        lefts = [block[..., 2:3, :k],  # one query row of a block, as attention reads it
+                 np.ascontiguousarray(block[..., 2:3, :k]), _unaligned(block[1, 2, 2:3, :k])]
+        rights = [b, b[1, 2], _cache_view(b, 37), E.transpose(0, 1, 3, 2), _unaligned(b)]
+        with T.rowwise_kernels():
+            for left in lefts:
+                for right in rights:
+                    got = T.matmul_np(left, right)
+                    want = row_kernel(left, right)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestLinear:
@@ -465,6 +489,33 @@ class TestAttention:
                                     T.Tensor(kbuf[..., :r + 1]), T.Tensor(vbuf[:, :, :r + 1]),
                                     heads, None, groups=groups)
                 assert alone.data.tobytes() == np.ascontiguousarray(full[:, r]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (DRAFT + 1, DRAFT + 1), (5, 40),
+                                      (DRAFT + 1, 403)])
+    def test_rowwise_cached_step_row_equals_the_row_alone(self, rng, dtype, m, n):
+        # a cached step: m query rows at positions n - m .. n - 1 over keys and
+        # values held as a cache holds them, strided views of wider buffers
+        G, heads, d = 2, 4, 16
+        q = rng.standard_normal((G * m, d)).astype(dtype)
+        kbuf = rng.standard_normal((G, heads, d // heads, n + 5)).astype(dtype)
+        vbuf = rng.standard_normal((G, heads, n + 5, d // heads)).astype(dtype)
+        causal = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
+        sink = []
+        with T.rowwise_kernels():
+            full = T.attention(T.Tensor(q), T.Tensor(kbuf[..., :n]), T.Tensor(vbuf[:, :, :n]),
+                               heads, causal, sink=sink, groups=G).data.reshape(G, m, d)
+            for i in range(m):
+                p = n - m + i + 1
+                alone = T.attention(T.Tensor(q.reshape(G, m, d)[:, i]), T.Tensor(kbuf[..., :p]),
+                                    T.Tensor(vbuf[:, :, :p]), heads, None, groups=G)
+                assert alone.data.tobytes() == np.ascontiguousarray(full[:, i]).tobytes()
+        # no -inf reaches a weight or an output, even a one-key row's
+        w = sink[0]
+        assert np.isfinite(w).all() and np.isfinite(full).all()
+        assert (w[:, :, ~causal] == 0).all() and (w[:, :, causal] > 0).all()
+        if n == m:  # the first row reads one key
+            assert (w[:, :, 0, 0] == 1).all()
 
     def test_grad_rowwise_causal(self, rng):
         mask = np.tril(np.ones((4, 4), dtype=bool))

@@ -114,3 +114,22 @@ class TestIdMapping:
             id_to_symbol(lay, lay.V)
         with pytest.raises(IdOutOfRange):
             id_to_symbol(lay, -1)
+
+    def test_one_object_per_symbol_in_every_layout(self):
+        # results that keep many symbols hold references to one object each
+        small, large = layout(3, 2, 2, 2), layout(9, 2, 2, 2)
+        for idx in range(small.n_span_ids):
+            assert id_to_symbol(small, idx) is id_to_symbol(large, idx)
+        for r in range(2):
+            assert id_to_symbol(small, small.rel_id(r)) is id_to_symbol(large, large.rel_id(r))
+
+    def test_numpy_ids_give_symbols_of_python_ints(self):
+        # a shared symbol made from a numpy id would hand numpy fields to every
+        # later caller; the last span and relation here are made by no other test
+        lay = layout(61, 7, 5, 41)
+        for idx in (np.int64(lay.n_span_ids - 1), np.int32(lay.V - 1)):
+            sym = id_to_symbol(lay, idx)
+            assert sym is id_to_symbol(lay, int(idx))
+            assert all(type(v) is int for v in vars(sym).values())
+        with pytest.raises(TypeError):
+            id_to_symbol(lay, 3.0)
