@@ -7,11 +7,16 @@ form the dynamic output vocabulary E, and the decoder scores the next symbol
 as a dot product between its hidden state and every row of E (the output
 embedding is the pointing table, there is no separate softmax weight).
 
-The ``Tensor`` layer code (``encode`` / ``span_embeddings`` /
-``decode_hidden``) is the only definition of the network.  Training runs it
-over whole teacher-forced prefixes; generation runs the same methods under
-``no_grad`` one row per sentence and step via ``DecodeRuntime``, which holds
-the key/value rows.
+The layer code (``encode`` / ``span_embeddings`` / ``cross_kv`` /
+``decoder_inputs`` / ``decode_hidden``) is the only definition of the
+network, written once over an op set: it calls ``ops.linear``,
+``ops.attention`` and the rest on the parameters ``bind`` hands it, one
+tuple per layer.  Training and ``sequence_logits`` run it on the tape ops
+(the ``tensor`` module) over whole teacher-forced prefixes; generation runs
+the same methods on the array op set (``tensor.ArrayOps``), one row per
+sentence and step, via ``DecodeRuntime``, which holds the key/value rows and
+builds no ``Tensor``.  The two op sets share their kernels, so they give the
+same bits.
 
 Several examples run as one forward: their token rows and decoder rows are
 concatenated, and the layer methods take the per-example row counts
@@ -25,8 +30,10 @@ the arithmetic of a sentence decoded alone.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,6 +181,50 @@ def _attention_groups(q_lens, k_lens) -> tuple[int, np.ndarray | None]:
     return 1, np.repeat(seg, q_lens)[:, None] == np.repeat(seg, k_lens)[None, :]
 
 
+# parameter names inside a norm, an attention block and a feed-forward block
+_NORM = ("g", "b")
+_ATTN = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+_FFN = ("w1", "b1", "w2", "b2")
+
+
+@functools.cache
+def _bound_names(config: ModelConfig, n_entity_types: int) -> tuple:
+    """``Bound``'s fields after ``ops`` as parameter names: the tables, span maps and layers."""
+    def layers(side: str, count: int, blocks) -> tuple:
+        return tuple(tuple(tuple(f"{side}.{i}.{name}.{part}" for part in parts)
+                           for name, parts in blocks) for i in range(count))
+
+    return (("enc.word_emb", "enc.pos", "dec.pos", "dec.struct", "dec.special", "dec.rel"),
+            tuple(f"span.w{c}" for c in range(n_entity_types)),
+            layers("enc", config.enc_layers,
+                   (("ln1", _NORM), ("attn", _ATTN), ("ln2", _NORM), ("ffn", _FFN))),
+            layers("dec", config.dec_layers,
+                   (("ln1", _NORM), ("self", _ATTN), ("ln2", _NORM), ("cross", _ATTN),
+                    ("ln3", _NORM), ("ffn", _FFN))))
+
+
+class Bound(NamedTuple):
+    """A model's parameters as one op set's operands, each layer's in one tuple.
+
+    ``ops`` is the op set: the ``tensor`` module (tape ops over the
+    parameters' ``Tensor`` s) or ``tensor.ArrayOps`` (their arrays).  A norm
+    is (g, b), an attention block (wq, bq, wk, bk, wv, bv, wo, bo) and a
+    feed-forward block (w1, b1, w2, b2); an encoder layer is (ln1, attn,
+    ln2, ffn) and a decoder layer (ln1, self, ln2, cross, ln3, ffn).
+    """
+
+    ops: object
+    word_emb: object
+    enc_pos: object
+    dec_pos: object
+    dec_struct: object
+    dec_special: object
+    dec_rel: object
+    span: tuple  # span.w{c}, one per entity type
+    enc: tuple
+    dec: tuple
+
+
 def param_group(name: str) -> str:
     if name.startswith("enc."):
         return "encoder"
@@ -262,31 +313,39 @@ class Model:
         self.params = params
 
     # ------------------------------------------------------------------
-    # differentiable forward
+    # forward, over either op set
 
-    def _kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
-        p = self.params
-        return (T.linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]),
-                T.linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
+    def bind(self, ops=T) -> Bound:
+        """The parameters as ``ops`` operands, each layer's in one tuple (see ``Bound``)."""
+        get, param = self.params.__getitem__, ops.param
 
-    def _mha(self, prefix: str, x_q: Tensor, kv: tuple[Tensor, Tensor],
-             groups: tuple[int, np.ndarray | None], train: bool, rng,
-             sink: list | None) -> Tensor:
-        p = self.params
-        q = T.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        ctx = T.attention(q, *kv, self.config.heads, groups[1], self.config.dropout, rng, train,
-                          sink, groups[0])
-        out = T.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-        return T.dropout(out, self.config.dropout, rng, train)
+        def block(names: tuple[str, ...]) -> tuple:
+            return tuple(map(param, map(get, names)))
 
-    def _ffn(self, prefix: str, x: Tensor, train: bool, rng) -> Tensor:
-        p = self.params
-        h = T.gelu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        out = T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-        return T.dropout(out, self.config.dropout, rng, train)
+        tables, span, enc, dec = _bound_names(self.config, self.schema.n_entity_types)
+        return Bound(ops, *block(tables), block(span),
+                     tuple(tuple(map(block, layer)) for layer in enc),
+                     tuple(tuple(map(block, layer)) for layer in dec))
+
+    @staticmethod
+    def _kv(ops, attn: tuple, x):
+        _, _, wk, bk, wv, bv, _, _ = attn
+        return ops.linear(x, wk, bk), ops.linear(x, wv, bv)
+
+    def _mha(self, ops, attn: tuple, x_q, kv, train: bool, rng, sink: list | None,
+             groups: int = 1, mask: np.ndarray | None = None, start: int | None = None):
+        wq, bq, _, _, _, _, wo, bo = attn
+        ctx = ops.attention(ops.linear(x_q, wq, bq), *kv, self.config.heads, mask,
+                            self.config.dropout, rng, train, sink, groups, start)
+        return ops.dropout(ops.linear(ctx, wo, bo), self.config.dropout, rng, train)
+
+    def _ffn(self, ops, ffn: tuple, x, train: bool, rng):
+        w1, b1, w2, b2 = ffn
+        h = ops.gelu(ops.linear(x, w1, b1))
+        return ops.dropout(ops.linear(h, w2, b2), self.config.dropout, rng, train)
 
     def encode(self, token_ids: np.ndarray, train: bool = False, rng=None,
-               tok_lens=None) -> Tensor:
+               tok_lens=None, bound: Bound | None = None):
         """Contextual token states (L, D); with zero layers, embeddings + positions.
 
         ``tok_lens`` splits the rows into packed examples (default: one).
@@ -296,22 +355,21 @@ class Model:
         if max(tok_lens) > self.config.max_positions:
             raise TooLong(f"sentence length {max(tok_lens)} exceeds max_positions "
                           f"{self.config.max_positions}")
-        p = self.params
-        x = T.add(
-            T.embedding_lookup(p["enc.word_emb"], token_ids),
-            T.embedding_lookup(p["enc.pos"], _positions(tok_lens)),
-        )
-        x = T.dropout(x, self.config.dropout, rng, train)
-        groups = _attention_groups(tok_lens, tok_lens)
-        for i in range(self.config.enc_layers):
-            h = T.layer_norm(x, p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
-            x = T.add(x, self._mha(f"enc.{i}.attn", h, self._kv(f"enc.{i}.attn", h), groups,
-                                   train, rng, None))
-            h = T.layer_norm(x, p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
-            x = T.add(x, self._ffn(f"enc.{i}.ffn", h, train, rng))
+        bound = self.bind() if bound is None else bound
+        ops = bound.ops
+        x = ops.add(ops.embedding_lookup(bound.word_emb, token_ids),
+                    ops.embedding_lookup(bound.enc_pos, _positions(tok_lens)))
+        x = ops.dropout(x, self.config.dropout, rng, train)
+        groups, mask = _attention_groups(tok_lens, tok_lens)
+        for ln1, attn, ln2, ffn in bound.enc:
+            h = ops.layer_norm(x, *ln1)
+            x = ops.add(x, self._mha(ops, attn, h, self._kv(ops, attn, h), train, rng, None,
+                                     groups, mask))
+            h = ops.layer_norm(x, *ln2)
+            x = ops.add(x, self._ffn(ops, ffn, h, train, rng))
         return x
 
-    def span_embeddings(self, H: Tensor, tok_lens=None) -> Tensor:
+    def span_embeddings(self, H, tok_lens=None, bound: Bound | None = None):
         """One row per span id (L*K*C, D): boundary-state concat under per-type maps.
 
         Spans that would overhang their sentence keep their id slot but are
@@ -322,27 +380,29 @@ class Model:
         L = H.shape[0]
         K = self.config.max_span_width
         tok_lens = [L] if tok_lens is None else tok_lens
+        bound = self.bind() if bound is None else bound
+        ops = bound.ops
         starts = np.repeat(np.arange(L), K)
         ends = starts + np.tile(np.arange(K), L)
         last = np.repeat(np.repeat(np.cumsum(tok_lens), tok_lens), K) - 1
         valid = ends <= last
-        h_start = T.embedding_lookup(H, starts)
-        h_end = T.embedding_lookup(H, np.minimum(ends, last))
-        h_end = T.mul(h_end, Tensor(valid[:, None].astype(self.config.np_dtype)))
-        cat = T.concat_last_dim(h_start, h_end)
+        h_start = ops.embedding_lookup(H, starts)
+        h_end = ops.embedding_lookup(H, np.minimum(ends, last))
+        h_end = ops.mul(h_end, valid[:, None].astype(self.config.np_dtype))
+        cat = ops.concat_last_dim(h_start, h_end)
         # column block c of row i is span i under type c, so the (N, C*D)
         # product reshapes to rows i*C + c
-        W = T.concat_last_dim(*(self.params[f"span.w{c}"]
-                                for c in range(self.schema.n_entity_types)))
-        return T.reshape(T.matmul(cat, W), (-1, self.config.d_model))
+        W = ops.concat_last_dim(*bound.span)
+        return ops.reshape(ops.matmul(cat, W), (-1, self.config.d_model))
 
-    def build_E(self, S: Tensor) -> Tensor:
+    def build_E(self, S, bound: Bound | None = None):
         """Dynamic vocabulary matrix (V, D): spans, then specials, then relations."""
-        return T.concat_rows([S, self.params["dec.special"], self.params["dec.rel"]])
+        bound = self.bind() if bound is None else bound
+        return bound.ops.concat_rows([S, bound.dec_special, bound.dec_rel])
 
-    def decoder_inputs(self, E: Tensor, ids: np.ndarray, labels: np.ndarray,
+    def decoder_inputs(self, E, ids: np.ndarray, labels: np.ndarray,
                        train: bool = False, rng=None, start: int = 0,
-                       sym_lens=None) -> Tensor:
+                       sym_lens=None, bound: Bound | None = None):
         """Input rows for the symbols at positions start, start+1, ... of a prefix.
 
         With ``sym_lens`` the rows are packed prefixes, each starting at 0.
@@ -350,21 +410,24 @@ class Model:
         sym_lens = [len(ids)] if sym_lens is None else sym_lens
         if start + max(sym_lens) > self.config.max_positions:
             raise PrefixTooLong(f"prefix length {start + max(sym_lens)} exceeds max_positions")
-        x = T.embedding_lookup(E, ids)
+        bound = self.bind() if bound is None else bound
+        ops = bound.ops
+        x = ops.embedding_lookup(E, ids)
         if self.config.use_positions:
-            x = T.add(x, T.embedding_lookup(self.params["dec.pos"], start + _positions(sym_lens)))
+            x = ops.add(x, ops.embedding_lookup(bound.dec_pos, start + _positions(sym_lens)))
         if self.config.use_structure:
-            x = T.add(x, T.embedding_lookup(self.params["dec.struct"], labels))
-        return T.dropout(x, self.config.dropout, rng, train)
+            x = ops.add(x, ops.embedding_lookup(bound.dec_struct, labels))
+        return ops.dropout(x, self.config.dropout, rng, train)
 
-    def cross_kv(self, H: Tensor) -> list[tuple[Tensor, Tensor]]:
+    def cross_kv(self, H, bound: Bound | None = None) -> list[tuple]:
         """Each decoder layer's cross-attention keys and values over encoder states H."""
-        return [self._kv(f"dec.{i}.cross", H) for i in range(self.config.dec_layers)]
+        bound = self.bind() if bound is None else bound
+        return [self._kv(bound.ops, layer[3], H) for layer in bound.dec]
 
-    def decode_hidden(self, x: Tensor, H: Tensor | None, train: bool = False, rng=None,
+    def decode_hidden(self, x, H, train: bool = False, rng=None,
                       trace: AttnTrace | None = None,
                       cache: DecodeRuntime | None = None,
-                      sym_lens=None, tok_lens=None) -> Tensor:
+                      sym_lens=None, tok_lens=None, bound: Bound | None = None):
         """Decoder states for input rows ``x``, attending causally and to ``H``.
 
         With a cache of G prefixes, ``x`` holds the same number of rows for
@@ -375,41 +438,39 @@ class Model:
         ``tok_lens`` give each one's rows of ``x`` / ``H``, and attention
         stays inside an example.
         """
+        bound = self.bind() if bound is None else bound
+        ops = bound.ops
         if cache is None:
-            start, cross = 0, self.cross_kv(H)
+            start, cross = 0, self.cross_kv(H, bound)
             n_seq, block = _attention_groups(sym_lens, sym_lens)
             cross_groups = _attention_groups(sym_lens, tok_lens)
         else:
-            start, block = cache.length, None
-            cross = [(Tensor(k), Tensor(v)) for k, v in cache.cross]
+            start, block, cross = cache.length, None, cache.cross
             n_seq, *_, rows = cache.keys[0].shape
             cross_groups = (n_seq, None)
         end = start + x.shape[0] // n_seq
         # a write past the last row would land in an empty slice unnoticed
         if cache is not None and end > rows:
             raise ValueError(f"decoding to row {end} overflows a cache of {rows} rows")
-        causal = None  # one query row per prefix attends to every key
-        if end - start > 1:
-            causal = np.arange(end)[None, :] <= np.arange(start, end)[:, None]
-            if block is not None:
-                causal &= block
+        # each row attends to its key prefix; packed examples of mixed lengths
+        # run as one group, each row masked to its prefix inside its example
+        causal = (n_seq, None, start) if block is None else (
+            n_seq, block & np.tri(len(block), dtype=bool), None)
         sinks = (None, None) if trace is None else (trace.self_attn, trace.cross_attn)
-        p = self.params
-        for i in range(self.config.dec_layers):
-            h = T.layer_norm(x, p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
-            kv = self._kv(f"dec.{i}.self", h)
+        heads = self.config.heads
+        for i, (ln1, attn, ln2, cross_attn, ln3, ffn) in enumerate(bound.dec):
+            h = ops.layer_norm(x, *ln1)
+            kv = self._kv(ops, attn, h)
             if cache is not None:
-                heads = self.config.heads
-                cache.keys[i][..., start:end] = T.split_heads(kv[0].data, n_seq, heads, True)
-                cache.values[i][:, :, start:end] = T.split_heads(kv[1].data, n_seq, heads)
-                kv = (Tensor(cache.keys[i][..., :end]), Tensor(cache.values[i][:, :, :end]))
-            x = T.add(x, self._mha(f"dec.{i}.self", h, kv, (n_seq, causal), train, rng,
-                                   sinks[0]))
-            h = T.layer_norm(x, p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
-            x = T.add(x, self._mha(f"dec.{i}.cross", h, cross[i], cross_groups, train, rng,
-                                   sinks[1]))
-            h = T.layer_norm(x, p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"])
-            x = T.add(x, self._ffn(f"dec.{i}.ffn", h, train, rng))
+                cache.keys[i][..., start:end] = T.split_heads(ops.value(kv[0]), n_seq, heads, True)
+                cache.values[i][:, :, start:end] = T.split_heads(ops.value(kv[1]), n_seq, heads)
+                kv = (cache.keys[i][..., :end], cache.values[i][:, :, :end])
+            x = ops.add(x, self._mha(ops, attn, h, kv, train, rng, sinks[0], *causal))
+            h = ops.layer_norm(x, *ln2)
+            x = ops.add(x, self._mha(ops, cross_attn, h, cross[i], train, rng, sinks[1],
+                                     *cross_groups))
+            h = ops.layer_norm(x, *ln3)
+            x = ops.add(x, self._ffn(ops, ffn, h, train, rng))
         if cache is not None:
             cache.length = end
         return x
@@ -422,15 +483,18 @@ class Model:
                         input_labels: np.ndarray, train: bool = False, rng=None,
                         trace: AttnTrace | None = None,
                         tok_lens=None, sym_lens=None) -> Tensor:
-        """Teacher-forced logits for every next-symbol position.
+        """Teacher-forced logits for every next-symbol position, on the tape ops.
 
         With ``tok_lens`` / ``sym_lens``, several examples packed back to back
         (see the module docstring); their span rows share one E.
         """
-        H = self.encode(token_ids, train, rng, tok_lens)
-        E = self.build_E(self.span_embeddings(H, tok_lens))
-        x = self.decoder_inputs(E, input_ids, input_labels, train, rng, sym_lens=sym_lens)
-        z = self.decode_hidden(x, H, train, rng, trace, sym_lens=sym_lens, tok_lens=tok_lens)
+        bound = self.bind()
+        H = self.encode(token_ids, train, rng, tok_lens, bound)
+        E = self.build_E(self.span_embeddings(H, tok_lens, bound), bound)
+        x = self.decoder_inputs(E, input_ids, input_labels, train, rng, sym_lens=sym_lens,
+                                bound=bound)
+        z = self.decode_hidden(x, H, train, rng, trace, sym_lens=sym_lens, tok_lens=tok_lens,
+                               bound=bound)
         return self.next_token_logits(z, E)
 
     # ------------------------------------------------------------------
@@ -494,7 +558,12 @@ class Model:
 
 
 class DecodeRuntime:
-    """Generation state of B same-length sentences over ``Model``'s own layer code.
+    """Generation state of B same-length sentences, run on ``Model``'s own layer code.
+
+    The layers run on the array op set (``tensor.ArrayOps``), with the
+    parameters bound once, at set-up: set-up and steps build no ``Tensor``
+    and record no tape, and compute the tape ops' bits.  The runtime checks
+    its inputs itself, once per call.
 
     ``token_ids`` is (B, L).  Set-up encodes the B*L token rows in one pass
     into ``E`` (B, V, D), each sentence's own vocabulary.  The runtime is
@@ -508,10 +577,10 @@ class DecodeRuntime:
     from E and the cache together.  Everything runs under shape-stable
     kernels with attention grouped per sentence and each row attending to
     its own key prefix, so each sentence's logits do not depend on the
-    others in its batch or on k, and equal ``Model.sequence_logits`` bit for
-    bit, as long as a step leaves a row free: a step that fills the last row
-    reads the keys as one contiguous array, whose product may differ in
-    float64.
+    others in its batch or on k, and equal ``Model.sequence_logits`` (the
+    tape ops) bit for bit, as long as a step leaves a row free: a step that
+    fills the last row reads the keys as one contiguous array, whose product
+    may differ in float64.
     """
 
     @staticmethod
@@ -529,17 +598,19 @@ class DecodeRuntime:
 
     def __init__(self, model: Model, token_ids: np.ndarray, rows: int):
         self.model = model
+        self.bound = bound = model.bind(T.ArrayOps)
         n_seq, n_tok = token_ids.shape
+        if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= len(bound.word_emb)):
+            raise T.ShapeMismatch("token id outside the word table")
         tok_lens = [n_tok] * n_seq
         heads = model.config.heads
         dk = model.config.d_model // heads
-        with T.no_grad(), T.rowwise_kernels():
-            H = model.encode(token_ids.reshape(-1), tok_lens=tok_lens)
-            spans = model.span_embeddings(H, tok_lens).data
-            self.E = np.stack([model.build_E(Tensor(s)).data
-                               for s in np.split(spans, n_seq)])
-            self.cross = [(T.split_heads(k.data, n_seq, heads, True),
-                           T.split_heads(v.data, n_seq, heads)) for k, v in model.cross_kv(H)]
+        with T.rowwise_kernels():
+            H = model.encode(token_ids.reshape(-1), tok_lens=tok_lens, bound=bound)
+            spans = model.span_embeddings(H, tok_lens, bound)
+            self.E = np.stack([model.build_E(s, bound) for s in np.split(spans, n_seq)])
+            self.cross = [(T.split_heads(k, n_seq, heads, True), T.split_heads(v, n_seq, heads))
+                          for k, v in model.cross_kv(H, bound)]
         self.keys = [np.empty((n_seq, heads, dk, rows), self.E.dtype) for _ in self.cross]
         self.values = [np.empty((n_seq, heads, rows, dk), self.E.dtype) for _ in self.cross]
         self.length = 0
@@ -559,14 +630,27 @@ class DecodeRuntime:
         logits score each row against its sentence's own vocabulary, and row j
         attends to exactly its own prefix, so a k-row step is bit-equal to k
         one-row steps.  ``length`` advances by k; a caller that keeps fewer
-        rows sets it back, and the next step overwrites the rest.
+        rows sets it back, and the next step overwrites the rest.  Ids outside
+        [0, V), labels outside [0, N_STRUCT_LABELS) and a step past the cache
+        or the position table raise before anything is written.
         """
         n_seq, n_vocab, d = self.E.shape
+        if (sym_ids.ndim != 2 or len(sym_ids) != n_seq or not sym_ids.size
+                or labels.shape != sym_ids.shape):
+            raise T.ShapeMismatch(f"step of {sym_ids.shape} ids and {labels.shape} labels "
+                                  f"for {n_seq} sentences")
+        # one check for the call: a flat row b*V + id past its own sentence's
+        # V would read another sentence's vocabulary
+        if (sym_ids.min() < 0 or sym_ids.max() >= n_vocab
+                or labels.min() < 0 or labels.max() >= N_STRUCT_LABELS):
+            raise T.ShapeMismatch(f"symbol id outside [0, {n_vocab}) or structural label "
+                                  f"outside [0, {N_STRUCT_LABELS})")
         k = sym_ids.shape[1]
         rows = (np.arange(n_seq)[:, None] * n_vocab + sym_ids).reshape(-1)
-        with T.no_grad(), T.rowwise_kernels():
-            x = self.model.decoder_inputs(Tensor(self.E.reshape(-1, d)), rows, labels.reshape(-1),
-                                          start=self.length, sym_lens=[k] * n_seq)
-            z = self.model.decode_hidden(x, None, cache=self)
+        with T.rowwise_kernels():
+            x = self.model.decoder_inputs(self.E.reshape(-1, d), rows, labels.reshape(-1),
+                                          start=self.length, sym_lens=[k] * n_seq,
+                                          bound=self.bound)
+            z = self.model.decode_hidden(x, None, cache=self, bound=self.bound)
             # (B, k, D) @ (B, D, V), each sentence's E^T a transposed view
-            return T.matmul_np(z.data.reshape(n_seq, k, d), self.E.transpose(0, 2, 1))
+            return T.matmul_np(z.reshape(n_seq, k, d), self.E.transpose(0, 2, 1))

@@ -1,10 +1,17 @@
-"""Dense float tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode autodiff, over one array forward per op.
 
-A small tape-based engine over numpy arrays: each op records its parents and a
-backward rule; ``backward`` walks the graph in reverse topological order and
-accumulates gradients.  Op outputs are row-major, except that ``transpose``
-returns a view; op inputs may be strided views, which the kernels read in place.
-All randomness (dropout) flows through explicit generators.
+Each op's forward is written once, as a function over numpy arrays
+(``linear_np``, ``layer_norm_np``, ``attention_np``, ``gelu_np``,
+``embedding_np``, ``dropout_np``).  The tape op of the same name checks its
+operands, runs that function on their ``.data`` and records a backward
+closure: ``backward`` walks the graph in reverse topological order and
+accumulates gradients.  So there are two op sets over one set of kernels:
+this module, whose ops take and return ``Tensor`` s, and ``ArrayOps``, the
+bare forwards, which take and return arrays and build no ``Tensor``.
+``Model``'s layer code takes either, and the two give the same bits.
+Op outputs are row-major, except that ``transpose`` returns a view; op
+inputs may be strided views, which the kernels read in place.  All
+randomness (dropout) flows through explicit generators.
 
 Ops are module functions over 2-D tensors (``Tensor`` has no operators).
 ``linear`` is a whole affine map ``x @ w + b``, one tape node; ``attention``
@@ -12,7 +19,7 @@ splits its operands into heads inside, and also takes keys and values
 already in its head layout (``split_heads``), as a decoding cache stores them.
 
 ``rowwise_kernels`` switches matrix multiplication (per head in ``attention``)
-to one BLAS call per output row, and masked ``attention`` to reading each
+to one BLAS call per output row, and causal ``attention`` to reading each
 query row's own key prefix alone: a row's arithmetic is then the same calls on
 the same operands however many rows run with it.  Decoding relies on this: a
 row computed alone is bit-equal to the same row inside a larger product, which
@@ -27,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 
 import numpy as np
 from scipy.special import erf
@@ -237,12 +245,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The affine map ``x @ w + b`` of (M, K) rows by a (K, N) matrix and an (N,) bias."""
+    out = matmul_np(x, w)
+    out += b
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``linear_np`` as one tape node."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeMismatch(f"linear shapes {x.shape} @ {w.shape} + {b.shape}")
-    out_data = matmul_np(x.data, w.data)
-    out_data += b.data
+    out_data = linear_np(x.data, w.data, b.data)
 
     def backward(g):
         _accum(x, matmul_np(g, w.data.T))
@@ -326,11 +340,23 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     return np.divide(total, a.shape[-1], out=total)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    # mean and variance as ndarray.mean / ndarray.var compute them
-    centered = x.data - _mean_last(x.data)
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``x`` centred and scaled to unit variance, and the inverse deviations.
+
+    The mean and variance are computed as ndarray.mean / ndarray.var compute them.
+    """
+    centered = x - _mean_last(x)
     inv = 1.0 / np.sqrt(_mean_last(np.square(centered)) + np.asarray(eps, dtype=x.dtype))
-    xhat = centered * inv
+    return centered * inv, inv
+
+
+def layer_norm_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                  eps: float = 1e-5) -> np.ndarray:
+    return gain * _normalize(x, eps)[0] + bias
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    xhat, inv = _normalize(x.data, eps)
     out_data = gain.data * xhat + bias.data
     d = x.shape[-1]
 
@@ -366,6 +392,13 @@ def _dropout_scale(shape, p: float, rng: np.random.Generator | None, dtype) -> n
     return (rng.random(shape) >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
 
 
+def dropout_np(x: np.ndarray, p: float, rng: np.random.Generator | None,
+               train: bool) -> np.ndarray:
+    if not train or p <= 0.0:
+        return x
+    return x * _dropout_scale(x.shape, p, rng, x.dtype)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     if not train or p <= 0.0:
         return x
@@ -385,30 +418,102 @@ def split_heads(x: np.ndarray, groups: int, heads: int, keys: bool = False) -> n
     return np.ascontiguousarray(split.transpose((0, 2, 3, 1) if keys else (0, 2, 1, 3)))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(G, heads, rows, dk) head blocks back to (G*rows, heads*dk) rows."""
+    g, heads, rows, dk = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(g * rows, heads * dk)
+
+
+def _attend(q, k, v, heads, mask, dropout_p, rng, train, sink, groups, start):
+    """``attention``'s forward over arrays: its output and what its backward reads."""
+    d = q.shape[1]
+    dk = d // heads
+    split_kv = k.ndim == 4
+    qh = split_heads(q, groups, heads)
+    kt, vh = (k, v) if split_kv else (split_heads(k, groups, heads, True),
+                                      split_heads(v, groups, heads))
+    m, n = qh.shape[2], vh.shape[2]
+    if start is not None and (start < 0 or start + m != n):
+        raise ShapeMismatch(f"{m} query rows from position {start} have no key prefix "
+                            f"among {n} keys")
+    if mask is not None and _rowwise:
+        raise ShapeMismatch("under rowwise_kernels causal attention reads key prefixes "
+                            "(start), not a mask")
+    scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.dtype)
+    # row i's key prefix ends at ``ends[i]``; one row per group reads every key
+    ends = range(start + 1, n + 1) if start is not None and m > 1 else None
+    if ends is not None and not _rowwise:  # the prefixes as a mask over all keys
+        causal = np.arange(n) <= np.arange(start, n)[:, None]
+        mask, ends = (causal if mask is None else causal & mask), None
+    if ends is None:
+        w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
+    else:  # a spare key column: even the longest prefix is a strided view, as in a cache
+        kt = kt if split_kv else np.concatenate([kt, kt[..., :1]], axis=-1)[..., :n]
+        # a row's scores and its exp sum read its own key prefix alone; the
+        # scale, max-shift, exp and divide act elementwise (the max is
+        # order-free), so they run once over the block, -inf past each prefix
+        w = np.full(qh.shape[:3] + (n,), -np.inf, q.dtype)
+        for i, p in enumerate(ends):
+            w[..., i:i + 1, :p] = matmul_np(qh[..., i:i + 1, :], kt[..., :p])
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= np.concatenate([w[..., i:i + 1, :p].sum(axis=-1, keepdims=True)
+                             for i, p in enumerate(ends)], 2)
+    if sink is not None:
+        sink.append(w[0] if groups == 1 else w)
+    drop = _dropout_scale(w.shape, dropout_p, rng, w.dtype) if train and dropout_p > 0 else None
+    wd = w if drop is None else w * drop
+    ctx = matmul_np(wd, vh) if ends is None else np.concatenate(
+        [matmul_np(wd[..., i:i + 1, :p], vh[..., :p, :]) for i, p in enumerate(ends)], 2)
+    return _merge_heads(ctx), (qh, kt, vh, w, wd, drop, scale)
+
+
+def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                 mask: np.ndarray | None = None, dropout_p: float = 0.0,
+                 rng: np.random.Generator | None = None, train: bool = False,
+                 sink: list | None = None, groups: int = 1,
+                 start: int | None = None) -> np.ndarray:
+    """``attention`` over arrays, with no shape checks beyond the key prefixes'."""
+    return _attend(q, k, v, heads, mask, dropout_p, rng, train, sink, groups, start)[0]
+
+
+def attention(q: Tensor, k, v, heads: int, mask: np.ndarray | None = None,
               dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-              train: bool = False, sink: list | None = None, groups: int = 1) -> Tensor:
+              train: bool = False, sink: list | None = None, groups: int = 1,
+              start: int | None = None) -> Tensor:
     """Multi-head scaled dot-product attention of (M, D) queries over (N, D) keys/values.
 
     The rows split into ``groups`` equal segments, m = M / G queries and
     n = N / G keys each, and segment g of the queries attends only to segment
     g of the keys and values, so no score is computed across groups.  Head h
     uses column block h (width D / heads) of q, k and v and writes the same
-    block of the output.  ``mask`` is (m, n), shared by every group, True
-    where a query may attend; under ``rowwise_kernels`` its rows must be key
-    prefixes, each query reading its own alone: a row's score product, exp
-    sum and weights @ values see exactly its prefix, while the scale,
-    max-shift, exp and divide run once over the (G, heads, m, n) block with
-    -inf past each prefix, which leaves the same bits and zero weights
-    there.  Train-mode dropout on the weights draws one
-    ``rng.random((G, heads, m, n))``; ``sink`` gets the weights before it,
-    (heads, M, N) for one group, else (G, heads, m, n).
+    block of the output.  Which keys a query may attend to is given by one
+    of:
+
+    - ``start``: causal attention by key prefixes.  Query row i of each group
+      sits at position ``start + i`` and attends to the first
+      ``start + i + 1`` keys, so n must be ``start + m``.  Under
+      ``rowwise_kernels`` each query reads its own prefix alone: a row's
+      score product, exp sum and weights @ values see exactly its prefix,
+      while the scale, max-shift, exp and divide run once over the
+      (G, heads, m, n) block with -inf past each prefix, which leaves the
+      same bits and zero weights there;
+    - ``mask``: (m, n), shared by every group, True where a query may
+      attend (not under ``rowwise_kernels``, whose rows read key prefixes);
+    - neither: every query attends to every key of its group.
+
+    Train-mode dropout on the weights draws one ``rng.random((G, heads, m,
+    n))``; ``sink`` gets the weights before it, (heads, M, N) for one group,
+    else (G, heads, m, n).
 
     ``k`` and ``v`` may instead come already in the head layout of
     ``split_heads``, k as (G, heads, dk, n) and v as (G, heads, n, dk), with
     any strides; they are read in place and their gradients accumulate in
-    that layout.
+    that layout.  Either may be a bare array (a decoding cache's rows), read
+    as a constant.
     """
+    k, v = (t if isinstance(t, Tensor) else Tensor(t) for t in (k, v))
     (rows_q, d), split_kv = q.shape, k.data.ndim == 4
     dk = d // max(heads, 1)
     if split_kv:
@@ -421,40 +526,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
             or (k.shape, v.shape) != kv_shapes):
         raise ShapeMismatch(f"attention shapes {q.shape}, {k.shape}, {v.shape} with "
                             f"{heads} heads, {groups} groups")
-
-    def merge(x: np.ndarray) -> np.ndarray:  # (G, heads, rows, dk) -> (G*rows, D)
-        return x.transpose(0, 2, 1, 3).reshape(-1, d)
-
-    qh = split_heads(q.data, groups, heads)
-    kt, vh = (k.data, v.data) if split_kv else (split_heads(k.data, groups, heads, True),
-                                                split_heads(v.data, groups, heads))
-    scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.dtype)
-    prefixes = mask.sum(axis=-1) if _rowwise and mask is not None else None
-    if prefixes is None:
-        w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
-    elif mask.shape != (rows_q // groups, n) or not prefixes.all() or (
-            mask != (np.arange(n) < prefixes[:, None])).any():
-        raise ShapeMismatch("under rowwise_kernels every mask row must be a key prefix")
-    else:  # a spare key column: even the longest prefix is a strided view, as in a cache
-        kt = kt if split_kv else np.concatenate([kt, kt[..., :1]], axis=-1)[..., :n]
-        prefixes = prefixes.tolist()
-        # a row's scores and its exp sum read its own key prefix alone; the
-        # scale, max-shift, exp and divide act elementwise (the max is
-        # order-free), so they run once over the block, -inf past each prefix
-        w = np.full(qh.shape[:3] + (n,), -np.inf, q.dtype)
-        for i, p in enumerate(prefixes):
-            w[..., i:i + 1, :p] = matmul_np(qh[..., i:i + 1, :], kt[..., :p])
-        w *= scale
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= np.concatenate([w[..., i:i + 1, :p].sum(axis=-1, keepdims=True)
-                             for i, p in enumerate(prefixes)], 2)
-    if sink is not None:
-        sink.append(w[0] if groups == 1 else w)
-    drop = _dropout_scale(w.shape, dropout_p, rng, w.dtype) if train and dropout_p > 0 else None
-    wd = w if drop is None else w * drop
-    out_data = merge(matmul_np(wd, vh) if prefixes is None else np.concatenate(
-        [matmul_np(wd[..., i:i + 1, :p], vh[..., :p, :]) for i, p in enumerate(prefixes)], 2))
+    out_data, (qh, kt, vh, w, wd, drop, scale) = _attend(
+        q.data, k.data, v.data, heads, mask, dropout_p, rng, train, sink, groups, start)
 
     def backward(g):
         gh = split_heads(g, groups, heads)
@@ -462,13 +535,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
         if drop is not None:
             gw = gw * drop
         gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, merge(matmul_np(gs, kt.transpose(0, 1, 3, 2))))
+        _accum(q, _merge_heads(matmul_np(gs, kt.transpose(0, 1, 3, 2))))
         gk = matmul_np(gs.transpose(0, 1, 3, 2), qh)  # (G, heads, n, dk)
         gv = matmul_np(wd.transpose(0, 1, 3, 2), gh)
-        _accum(k, gk.transpose(0, 1, 3, 2) if split_kv else merge(gk))
-        _accum(v, gv if split_kv else merge(gv))
+        _accum(k, gk.transpose(0, 1, 3, 2) if split_kv else _merge_heads(gk))
+        _accum(v, gv if split_kv else _merge_heads(gv))
 
     return _make(out_data, (q, k, v), backward)
+
+
+def embedding_np(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``ids`` of ``table``; ids are not checked, and a negative one counts from the end."""
+    return table[ids]
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -477,7 +555,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ShapeMismatch("embedding_lookup expects a 2-D table and 1-D ids")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeMismatch("embedding id outside table")
-    out_data = table.data[ids]
+    out_data = embedding_np(table.data, ids)
 
     def backward(g):
         if table.grad is None:
@@ -552,6 +630,44 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+# This module is the tape op set: ``Model``'s layer code calls ``ops.linear``
+# and the rest with ``ops`` either this module or ``ArrayOps``.
+
+def param(t: Tensor) -> Tensor:
+    """A parameter as a tape operand: the ``Tensor`` itself, which collects its gradient."""
+    return t
+
+
+def value(t: Tensor) -> np.ndarray:
+    """A tape operand's array."""
+    return t.data
+
+
+class ArrayOps:
+    """The array op set: the tape ops' forwards alone, over bare arrays.
+
+    Each op returns the array its tape op would hold in ``.data``, bit for
+    bit, and builds no ``Tensor`` and no tape.  Only ``attention`` checks
+    anything (its key prefixes); callers check ids and shapes once for a
+    whole forward, as ``DecodeRuntime`` does.
+    """
+
+    param = staticmethod(operator.attrgetter("data"))
+    value = staticmethod(lambda a: a)
+    add = staticmethod(np.add)
+    mul = staticmethod(np.multiply)
+    matmul = staticmethod(matmul_np)
+    reshape = staticmethod(np.reshape)
+    concat_last_dim = staticmethod(lambda *parts: np.concatenate(parts, axis=-1))
+    concat_rows = staticmethod(lambda parts: np.concatenate(parts, axis=0))
+    embedding_lookup = staticmethod(embedding_np)
+    linear = staticmethod(linear_np)
+    layer_norm = staticmethod(layer_norm_np)
+    gelu = staticmethod(gelu_np)
+    dropout = staticmethod(dropout_np)
+    attention = staticmethod(attention_np)
 
 
 def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:

@@ -416,6 +416,102 @@ class TestIncrementalDecoding:
             np.testing.assert_array_equal(a, b)
 
 
+    @pytest.mark.parametrize("bad", ["id V in sentence 0", "id -1 in sentence 1",
+                                     "label -1", f"label {N_STRUCT_LABELS}"])
+    def test_step_reads_only_its_own_sentences_vocabulary(self, two_type_schema, bad):
+        # with B = 2 the flat row b*V + id of id V in sentence 0 is row 0 of
+        # sentence 1, and id -1 in sentence 1 is the last row of sentence 0
+        m = tiny_model(two_type_schema, dec_layers=2)
+        layout = build_layout(3, two_type_schema, 3)
+        rt = DecodeRuntime(m, np.array([[1, 2, 3], [3, 2, 1]]), 4)
+        rt.step_logits(np.full((2, 1), layout.start_id), np.zeros((2, 1), np.int64))
+        ids, labels = np.array([[0], [1]]), np.zeros((2, 1), np.int64)
+        if bad == "id V in sentence 0":
+            ids[0, 0] = layout.V
+        elif bad == "id -1 in sentence 1":
+            ids[1, 0] = -1
+        else:
+            labels[1, 0] = int(bad.split()[1])
+        cache = [a.copy() for a in rt.keys + rt.values]
+        with pytest.raises(T.ShapeMismatch, match="outside"):
+            rt.step_logits(ids, labels)
+        assert rt.length == 1
+        for a, b in zip(rt.keys + rt.values, cache):
+            assert a.tobytes() == b.tobytes()
+
+    def test_step_shapes_are_checked(self, two_type_schema):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        rt = DecodeRuntime(m, np.array([[1, 2, 3], [3, 2, 1]]), 4)
+        for ids, labels in ((np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64)),
+                            (np.zeros((2, 2), np.int64), np.zeros((2, 1), np.int64)),
+                            (np.zeros((2, 0), np.int64), np.zeros((2, 0), np.int64)),
+                            (np.zeros(2, np.int64), np.zeros(2, np.int64))):
+            with pytest.raises(T.ShapeMismatch):
+                rt.step_logits(ids, labels)
+        assert rt.length == 0
+
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_token_ids_outside_the_word_table_are_rejected(self, two_type_schema, token):
+        m = tiny_model(two_type_schema)
+        with pytest.raises(T.ShapeMismatch, match="word table"):
+            DecodeRuntime(m, np.array([[1, token, 3]]), 4)
+
+
+class TestOpSets:
+    """The layer code on the array op set computes the tape ops' bits."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("rowwise, tok_lens, sym_lens", [
+        (False, [3], [4]), (True, [3], [4]),
+        (False, [3, 3], [4, 4]), (True, [3, 3], [4, 4]),
+        (False, [3, 2], [4, 2]),  # packed examples of mixed lengths: one masked group
+    ])
+    def test_forward_bit_equal_on_both_op_sets(self, two_type_schema, dtype, rowwise,
+                                               tok_lens, sym_lens):
+        m = tiny_model(two_type_schema, dec_layers=2, dtype=dtype, dropout=0.2)
+        tokens = np.array([1, 2, 3, 3, 1, 2])[:sum(tok_lens)]
+        ids = np.array([20, 5, 9, 13, 2, 7, 1, 0])[:sum(sym_lens)]
+        labels = np.array([0, 0, 0, 1, 1, 2, 3, 0])[:sum(sym_lens)]
+        outs = []
+        for ops in (T, T.ArrayOps):
+            bound, trace = m.bind(ops), AttnTrace()
+            rng = np.random.default_rng(3)
+            with T.rowwise_kernels() if rowwise else T.no_grad():
+                H = m.encode(tokens, True, rng, tok_lens, bound)
+                E = m.build_E(m.span_embeddings(H, tok_lens, bound), bound)
+                x = m.decoder_inputs(E, ids, labels, True, rng, sym_lens=sym_lens, bound=bound)
+                z = m.decode_hidden(x, H, True, rng, trace, sym_lens=sym_lens,
+                                    tok_lens=tok_lens, bound=bound)
+            outs.append([ops.value(a) for a in (H, E, z)] + trace.self_attn + trace.cross_attn)
+        for got, want in zip(outs[1], outs[0], strict=True):
+            assert type(got) is np.ndarray
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_seq", [1, 3])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_runtime_builds_no_tensor(self, two_type_schema, monkeypatch, n_seq, k):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        layout = build_layout(3, two_type_schema, 3)
+        built = []
+        init = T.Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(T.Tensor, "__init__", counted)
+        rng = np.random.default_rng(0)
+        rt = DecodeRuntime(m, np.array([[1, 2, 3], [3, 1, 1], [2, 2, 3]])[:n_seq], 2 * k + 1)
+        for _ in range(2):
+            rt.step_logits(rng.integers(0, layout.V, (n_seq, k)),
+                           rng.integers(0, N_STRUCT_LABELS, (n_seq, k)))
+        rt.keep([0])
+        rt.step_logits(np.array([[layout.sep_id]]), np.array([[1]]))
+        assert built == []
+        m.encode(np.array([1, 2, 3]))  # the tape ops do build them
+        assert built
+
+
 class TestDecodeStepMemory:
     def test_cached_step_copies_no_cached_rows(self, two_type_schema):
         # a step reads the cache in place: its peak allocation stays below one

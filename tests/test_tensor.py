@@ -461,11 +461,11 @@ class TestAttention:
         np.testing.assert_allclose(out.data, want, rtol=1e-12)
 
     def test_rowwise_query_row_stable(self, rng):
+        # queries at positions 3..8; the one at 5 alone reads the first 6 keys
         q, k, v = (rng.standard_normal((n, 16)).astype(np.float32) for n in (6, 9, 9))
-        mask = np.arange(9)[None, :] <= np.arange(3, 9)[:, None]
         with T.rowwise_kernels():
-            full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, mask)
-            one = T.attention(T.Tensor(q[2:3]), T.Tensor(k), T.Tensor(v), 4, mask[2:3])
+            full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, start=3)
+            one = T.attention(T.Tensor(q[2:3]), T.Tensor(k[:6]), T.Tensor(v[:6]), 4, start=5)
         assert (full.data[2:3] == one.data).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -476,14 +476,13 @@ class TestAttention:
         # cache holds them: strided views of wider buffers
         n, d = 7, 16
         q, k, v = (rng.standard_normal((groups * n, d)).astype(dtype) for _ in range(3))
-        causal = np.tril(np.ones((n, n), dtype=bool))
         kt, vh = T.split_heads(k, groups, heads, True), T.split_heads(v, groups, heads)
         kbuf = np.zeros(kt.shape[:3] + (n + 5,), dtype)
         vbuf = np.zeros(vh.shape[:2] + (n + 5,) + vh.shape[3:], dtype)
         kbuf[..., :n], vbuf[:, :, :n] = kt, vh
         with T.rowwise_kernels():
-            full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, causal,
-                               groups=groups).data.reshape(groups, n, d)
+            full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, groups=groups,
+                               start=0).data.reshape(groups, n, d)
             for r in range(n):
                 alone = T.attention(T.Tensor(q.reshape(groups, n, d)[:, r]),
                                     T.Tensor(kbuf[..., :r + 1]), T.Tensor(vbuf[:, :, :r + 1]),
@@ -504,7 +503,7 @@ class TestAttention:
         sink = []
         with T.rowwise_kernels():
             full = T.attention(T.Tensor(q), T.Tensor(kbuf[..., :n]), T.Tensor(vbuf[:, :, :n]),
-                               heads, causal, sink=sink, groups=G).data.reshape(G, m, d)
+                               heads, sink=sink, groups=G, start=n - m).data.reshape(G, m, d)
             for i in range(m):
                 p = n - m + i + 1
                 alone = T.attention(T.Tensor(q.reshape(G, m, d)[:, i]), T.Tensor(kbuf[..., :p]),
@@ -518,9 +517,8 @@ class TestAttention:
             assert (w[:, :, 0, 0] == 1).all()
 
     def test_grad_rowwise_causal(self, rng):
-        mask = np.tril(np.ones((4, 4), dtype=bool))
         with T.rowwise_kernels():
-            check_op(lambda q, k, v: T.attention(q, k, v, 2, mask, groups=2),
+            check_op(lambda q, k, v: T.attention(q, k, v, 2, groups=2, start=0),
                      [rng.standard_normal((8, 6)) for _ in range(3)], rng)
 
     @pytest.mark.parametrize("mask", [
@@ -532,6 +530,30 @@ class TestAttention:
         q, k = T.Tensor(rng.standard_normal((2, 4))), T.Tensor(rng.standard_normal((3, 4)))
         with T.rowwise_kernels(), pytest.raises(T.ShapeMismatch, match="key prefix"):
             T.attention(q, k, k, 2, mask)
+
+    @pytest.mark.parametrize("rowwise", [False, True])
+    @pytest.mark.parametrize("start, m, n", [(-1, 2, 1), (0, 2, 3), (2, 2, 3), (1, 3, 3)])
+    def test_impossible_key_prefix_rejected(self, rng, rowwise, start, m, n):
+        # ``start`` puts m query rows at positions start .. start + m - 1, whose
+        # prefixes need exactly start + m keys
+        q, k = rng.standard_normal((m, 4)), rng.standard_normal((n, 4))
+        with T.rowwise_kernels() if rowwise else contextlib.nullcontext():
+            with pytest.raises(T.ShapeMismatch, match="key prefix"):
+                T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(k), 2, start=start)
+            with pytest.raises(T.ShapeMismatch, match="key prefix"):
+                T.attention_np(q, k, k, 2, start=start)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_start_is_the_causal_mask(self, rng, dtype):
+        # without rowwise_kernels, ``start`` builds the mask a caller would pass
+        q, k, v = (rng.standard_normal((r, 16)).astype(dtype) for r in (6, 9, 9))
+        mask = np.arange(9)[None, :] <= np.arange(3, 9)[:, None]
+        got = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, start=3).data
+        assert got.tobytes() == T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4,
+                                            mask).data.tobytes()
+        with T.rowwise_kernels():
+            rowwise = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, start=3).data
+        np.testing.assert_allclose(rowwise, got, rtol=1e-5 if dtype == np.float32 else 1e-12)
 
     def test_grad_groups_causal(self, rng):
         # three groups of 3 query and 3 key rows, causal inside each group
@@ -556,12 +578,11 @@ class TestAttention:
     def test_groups_equal_separate_calls_bitwise(self, rng, dtype):
         G, m, n = 4, 2, 5
         q, k, v = (rng.standard_normal((G * r, 16)).astype(dtype) for r in (m, n, n))
-        mask = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
         g_out = rng.standard_normal((G * m, 16)).astype(dtype)
         with T.rowwise_kernels():
             tq, tk, tv = (T.Tensor(a, requires_grad=True) for a in (q, k, v))
             sink = []
-            out = T.attention(tq, tk, tv, 4, mask, sink=sink, groups=G)
+            out = T.attention(tq, tk, tv, 4, sink=sink, groups=G, start=n - m)
             T.backward(T.sum_all(T.mul(out, T.Tensor(g_out))))
             assert sink[0].shape == (G, 4, m, n)
             for g in range(G):
@@ -569,7 +590,7 @@ class TestAttention:
                 sq, sk, sv = (T.Tensor(a[r], requires_grad=True)
                               for a, r in ((q, rq), (k, rk), (v, rk)))
                 one_sink = []
-                one = T.attention(sq, sk, sv, 4, mask, sink=one_sink)
+                one = T.attention(sq, sk, sv, 4, sink=one_sink, start=n - m)
                 T.backward(T.sum_all(T.mul(one, T.Tensor(g_out[rq]))))
                 assert (out.data[rq] == one.data).all()
                 assert (sink[0][g] == one_sink[0]).all()
@@ -588,7 +609,6 @@ class TestAttention:
     def test_split_operands_equal_row_operands_bitwise(self, rng, dtype):
         G, heads, m, n = 3, 4, 2, 5
         q, k, v = (rng.standard_normal((G * r, 16)).astype(dtype) for r in (m, n, n))
-        mask = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
         g_out = rng.standard_normal((G * m, 16)).astype(dtype)
         kt, vh = T.split_heads(k, G, heads, True), T.split_heads(v, G, heads)
         # split operands as strided views of wider buffers, the way a cache holds them
@@ -601,7 +621,7 @@ class TestAttention:
                      for a in (q, kbuf[..., :n], vbuf[:, :, :n])]
             outs = []
             for tq, tk, tv in (rows, split):
-                outs.append(T.attention(tq, tk, tv, heads, mask, groups=G))
+                outs.append(T.attention(tq, tk, tv, heads, groups=G, start=n - m))
                 T.backward(T.sum_all(T.mul(outs[-1], T.Tensor(g_out))))
         assert (outs[0].data == outs[1].data).all()
         # q's gradient reads the keys transposed, a kernel whose bits may follow
@@ -623,6 +643,73 @@ class TestAttention:
         q, k = T.Tensor(rng.standard_normal((3, 4))), T.Tensor(rng.standard_normal((4, 4)))
         with pytest.raises(T.ShapeMismatch):
             T.attention(q, k, k, 2, None, groups=2)
+
+
+class TestArrayOps:
+    """Each op of the array op set returns its tape op's ``.data``, bit for bit."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @staticmethod
+    def _same(got, want: T.Tensor) -> bool:
+        return (isinstance(got, np.ndarray) and got.dtype == want.data.dtype
+                and got.shape == want.shape and got.tobytes() == want.data.tobytes())
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rowwise", [False, True])
+    def test_row_ops(self, rng, dtype, rowwise):
+        x, y = (rng.standard_normal((5, 8)).astype(dtype) for _ in range(2))
+        w = rng.standard_normal((8, 12)).astype(dtype)
+        b, g, b8 = (rng.standard_normal(n).astype(dtype) for n in (12, 8, 8))
+        table = rng.standard_normal((7, 8)).astype(dtype)
+        ids = np.array([3, 0, 6, 3])
+        cases = {"linear": (x, w, b), "layer_norm": (x, g, b8), "gelu": (x,), "add": (x, y),
+                 "mul": (x, y), "matmul": (x, w), "embedding_lookup": (table, ids),
+                 "concat_last_dim": (x, y, x), "reshape": (x, (-1, 4))}
+        with T.rowwise_kernels() if rowwise else contextlib.nullcontext():
+            for name, args in cases.items():
+                tape = getattr(T, name)(*(T.Tensor(a) if isinstance(a, np.ndarray)
+                                          and a.dtype == dtype else a for a in args))
+                assert self._same(getattr(T.ArrayOps, name)(*args), tape), name
+            assert self._same(T.ArrayOps.concat_rows([x, table]),
+                              T.concat_rows([T.Tensor(x), T.Tensor(table)]))
+            for p, train in ((0.3, True), (0.3, False), (0.0, True)):
+                tape = T.dropout(T.Tensor(x), p, np.random.default_rng(1), train)
+                assert self._same(T.ArrayOps.dropout(x, p, np.random.default_rng(1), train), tape)
+
+    def test_params_and_values(self, rng):
+        t = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        assert T.param(t) is t and T.value(t) is t.data
+        assert T.ArrayOps.param(t) is t.data and T.ArrayOps.value(t.data) is t.data
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("rows", ["every key", "mask", "start", "rowwise start",
+                                      "rowwise one row", "dropout"])
+    def test_attention(self, rng, dtype, split, groups, rows):
+        heads, d, n = 4, 16, 7
+        m = 1 if rows == "rowwise one row" else 3
+        q = rng.standard_normal((groups * m, d)).astype(dtype)
+        k, v = (rng.standard_normal((groups * n, d)).astype(dtype) for _ in range(2))
+        if split:  # in head layout, strided views of wider buffers as a cache holds them
+            k = _cache_view(T.split_heads(k, groups, heads, True), 5)
+            vbuf = np.zeros((groups, heads, n + 5, d // heads), dtype)
+            vbuf[:, :, :n] = T.split_heads(v, groups, heads)
+            v = vbuf[:, :, :n]
+        mask = rng.random((m, n)) > 0.3 if rows == "mask" else None
+        if mask is not None:
+            mask[:, 0] = True
+        start = n - m if "start" in rows or "one row" in rows else None
+        train = rows == "dropout"
+        tape_sink, array_sink = [], []
+        with T.rowwise_kernels() if "rowwise" in rows else contextlib.nullcontext():
+            tape = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, mask, 0.4,
+                               np.random.default_rng(5), train, tape_sink, groups, start)
+            got = T.ArrayOps.attention(q, k, v, heads, mask, 0.4, np.random.default_rng(5),
+                                       train, array_sink, groups, start)
+        assert self._same(got, tape)
+        assert array_sink[0].tobytes() == tape_sink[0].tobytes()
 
 
 class TestDropoutSemantics:
