@@ -122,14 +122,18 @@ def masked_softmax_np(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarr
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """The standard normal CDF at ``x``, in ``x``'s dtype."""
-    return (0.5 * (1.0 + erf(x * np.asarray(math.sqrt(0.5), dtype=x.dtype)))).astype(
-        x.dtype, copy=False
-    )
+    """The standard normal CDF at ``x``, in ``x``'s dtype, computed in one new array."""
+    cdf = x * np.asarray(math.sqrt(0.5), dtype=x.dtype)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def gelu_np(x: np.ndarray) -> np.ndarray:
-    return x * _gelu_cdf(x)
+    out = _gelu_cdf(x)
+    out *= x
+    return out
 
 
 class Tensor:
@@ -345,14 +349,18 @@ def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
     The mean and variance are computed as ndarray.mean / ndarray.var compute them.
     """
-    centered = x - _mean_last(x)
-    inv = 1.0 / np.sqrt(_mean_last(np.square(centered)) + np.asarray(eps, dtype=x.dtype))
-    return centered * inv, inv
+    xhat = x - _mean_last(x)
+    inv = 1.0 / np.sqrt(_mean_last(np.square(xhat)) + np.asarray(eps, dtype=x.dtype))
+    xhat *= inv
+    return xhat, inv
 
 
 def layer_norm_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                   eps: float = 1e-5) -> np.ndarray:
-    return gain * _normalize(x, eps)[0] + bias
+    out = _normalize(x, eps)[0]
+    out *= gain
+    out += bias
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
