@@ -54,13 +54,6 @@ class PrefixTooLong(ValueError):
 # structural label channels, one embedding row each; values match grammar.Phase
 N_STRUCT_LABELS = 4
 
-# tables that take no weight decay along with norms and biases
-_EMBED_TABLES = frozenset(
-    {"enc.word_emb", "enc.pos", "dec.pos", "dec.struct", "dec.special", "dec.rel"}
-)
-_BIAS_SUFFIXES = (".g", ".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")
-
-
 def is_integer(value) -> bool:
     """A Python or numpy integer, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -181,36 +174,48 @@ def _attention_groups(q_lens, k_lens) -> tuple[int, np.ndarray | None]:
     return 1, np.repeat(seg, q_lens)[:, None] == np.repeat(seg, k_lens)[None, :]
 
 
-# parameter names inside a norm, an attention block and a feed-forward block
-_NORM = ("g", "b")
-_ATTN = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-_FFN = ("w1", "b1", "w2", "b2")
+# the parameter tree, written once: each block's parts with their shapes in
+# units of d_model, and each layer's blocks, in initialization order
+_NORM = (("g", (1,)), ("b", (1,)))
+_ATTN = (("wq", (1, 1)), ("wk", (1, 1)), ("wv", (1, 1)), ("wo", (1, 1)),
+         ("bq", (1,)), ("bk", (1,)), ("bv", (1,)), ("bo", (1,)))
+_FFN = (("w1", (1, 4)), ("b1", (4,)), ("w2", (4, 1)), ("b2", (1,)))
+_ENC_LAYER = (("ln1", _NORM), ("attn", _ATTN), ("ln2", _NORM), ("ffn", _FFN))
+_DEC_LAYER = (("ln1", _NORM), ("self", _ATTN), ("ln2", _NORM), ("cross", _ATTN),
+              ("ln3", _NORM), ("ffn", _FFN))
+_TABLES = ("enc.word_emb", "enc.pos", "dec.pos", "dec.struct", "dec.special", "dec.rel")
+# norm gains and biases: the one-axis parts; with the tables they take no weight decay
+_BIAS_SUFFIXES = tuple(f".{part}" for part, units in _NORM + _ATTN + _FFN if len(units) == 1)
+
+
+def _layers(side: str, count: int, blocks) -> tuple:
+    """``count`` layers of ``blocks``, each block a tuple of (name, shape in units of d)."""
+    return tuple(tuple(tuple((f"{side}.{i}.{block}.{part}", units) for part, units in parts)
+                       for block, parts in blocks) for i in range(count))
 
 
 @functools.cache
 def _bound_names(config: ModelConfig, n_entity_types: int) -> tuple:
     """``Bound``'s fields after ``ops`` as parameter names: the tables, span maps and layers."""
-    def layers(side: str, count: int, blocks) -> tuple:
-        return tuple(tuple(tuple(f"{side}.{i}.{name}.{part}" for part in parts)
-                           for name, parts in blocks) for i in range(count))
+    def names(layers) -> tuple:
+        return tuple(tuple(tuple(name for name, _ in block) for block in layer)
+                     for layer in layers)
 
-    return (("enc.word_emb", "enc.pos", "dec.pos", "dec.struct", "dec.special", "dec.rel"),
-            tuple(f"span.w{c}" for c in range(n_entity_types)),
-            layers("enc", config.enc_layers,
-                   (("ln1", _NORM), ("attn", _ATTN), ("ln2", _NORM), ("ffn", _FFN))),
-            layers("dec", config.dec_layers,
-                   (("ln1", _NORM), ("self", _ATTN), ("ln2", _NORM), ("cross", _ATTN),
-                    ("ln3", _NORM), ("ffn", _FFN))))
+    return (_TABLES, tuple(f"span.w{c}" for c in range(n_entity_types)),
+            names(_layers("enc", config.enc_layers, _ENC_LAYER)),
+            names(_layers("dec", config.dec_layers, _DEC_LAYER)))
 
 
 class Bound(NamedTuple):
     """A model's parameters as one op set's operands, each layer's in one tuple.
 
     ``ops`` is the op set: the ``tensor`` module (tape ops over the
-    parameters' ``Tensor`` s) or ``tensor.ArrayOps`` (their arrays).  A norm
-    is (g, b), an attention block (wq, bq, wk, bk, wv, bv, wo, bo) and a
-    feed-forward block (w1, b1, w2, b2); an encoder layer is (ln1, attn,
-    ln2, ffn) and a decoder layer (ln1, self, ln2, cross, ln3, ffn).
+    parameters' ``Tensor`` s) or ``tensor.ArrayOps`` (their arrays); a cached
+    ``decode_hidden`` runs on ``ArrayOps`` only.  Each block holds its parts
+    in ``param_shapes`` order: a norm is (g, b), an attention block (wq, wk,
+    wv, wo, bq, bk, bv, bo) and a feed-forward block (w1, b1, w2, b2); an
+    encoder layer is (ln1, attn, ln2, ffn) and a decoder layer (ln1, self,
+    ln2, cross, ln3, ffn).
     """
 
     ops: object
@@ -234,54 +239,24 @@ def param_group(name: str) -> str:
 
 
 def decay_excluded(name: str) -> bool:
-    return name in _EMBED_TABLES or name.endswith(_BIAS_SUFFIXES)
+    return name in _TABLES or name.endswith(_BIAS_SUFFIXES)
 
 
 def param_shapes(config: ModelConfig, schema: Schema, n_words: int) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in initialization order."""
-    d = config.d_model
-    shapes: dict[str, tuple[int, ...]] = {}
+    d, positions = config.d_model, config.max_positions
 
-    def attn_block(prefix):
-        for part in ("wq", "wk", "wv", "wo"):
-            shapes[f"{prefix}.{part}"] = (d, d)
-        for part in ("bq", "bk", "bv", "bo"):
-            shapes[f"{prefix}.{part}"] = (d,)
+    def layers(side: str, count: int, blocks) -> dict[str, tuple[int, ...]]:
+        return {name: tuple(d * u for u in units) for layer in _layers(side, count, blocks)
+                for block in layer for name, units in block}
 
-    def ffn_block(prefix):
-        shapes[f"{prefix}.w1"] = (d, 4 * d)
-        shapes[f"{prefix}.b1"] = (4 * d,)
-        shapes[f"{prefix}.w2"] = (4 * d, d)
-        shapes[f"{prefix}.b2"] = (d,)
-
-    def ln_block(prefix):
-        shapes[f"{prefix}.g"] = (d,)
-        shapes[f"{prefix}.b"] = (d,)
-
-    shapes["enc.word_emb"] = (n_words, d)
-    shapes["enc.pos"] = (config.max_positions, d)
-    for i in range(config.enc_layers):
-        ln_block(f"enc.{i}.ln1")
-        attn_block(f"enc.{i}.attn")
-        ln_block(f"enc.{i}.ln2")
-        ffn_block(f"enc.{i}.ffn")
-
-    shapes["dec.pos"] = (config.max_positions, d)
-    shapes["dec.struct"] = (N_STRUCT_LABELS, d)
-    # row order matches the id layout: START, END, SEP
-    shapes["dec.special"] = (N_SPECIALS, d)
-    shapes["dec.rel"] = (schema.n_relation_types, d)
-    for i in range(config.dec_layers):
-        ln_block(f"dec.{i}.ln1")
-        attn_block(f"dec.{i}.self")
-        ln_block(f"dec.{i}.ln2")
-        attn_block(f"dec.{i}.cross")
-        ln_block(f"dec.{i}.ln3")
-        ffn_block(f"dec.{i}.ffn")
-
-    for c in range(schema.n_entity_types):
-        shapes[f"span.w{c}"] = (2 * d, d)
-    return shapes
+    return {"enc.word_emb": (n_words, d), "enc.pos": (positions, d),
+            **layers("enc", config.enc_layers, _ENC_LAYER),
+            "dec.pos": (positions, d), "dec.struct": (N_STRUCT_LABELS, d),
+            # row order matches the id layout: START, END, SEP
+            "dec.special": (N_SPECIALS, d), "dec.rel": (schema.n_relation_types, d),
+            **layers("dec", config.dec_layers, _DEC_LAYER),
+            **{f"span.w{c}": (2 * d, d) for c in range(schema.n_entity_types)}}
 
 
 def _init_params(config: ModelConfig, schema: Schema, n_words: int, rng) -> dict[str, Tensor]:
@@ -329,12 +304,12 @@ class Model:
 
     @staticmethod
     def _kv(ops, attn: tuple, x):
-        _, _, wk, bk, wv, bv, _, _ = attn
+        _, wk, wv, _, _, bk, bv, _ = attn
         return ops.linear(x, wk, bk), ops.linear(x, wv, bv)
 
     def _mha(self, ops, attn: tuple, x_q, kv, train: bool, rng, sink: list | None,
              groups: int = 1, mask: np.ndarray | None = None, start: int | None = None):
-        wq, bq, _, _, _, _, wo, bo = attn
+        wq, _, _, wo, bq, _, _, bo = attn
         ctx = ops.attention(ops.linear(x_q, wq, bq), *kv, self.config.heads, mask,
                             self.config.dropout, rng, train, sink, groups, start)
         return ops.dropout(ops.linear(ctx, wo, bo), self.config.dropout, rng, train)
@@ -434,11 +409,14 @@ class Model:
         each, one prefix after the other, continuing the cached rows: each
         layer writes its keys/values there and attends over every filled row
         of its own prefix, cross-attention reads the cache instead of ``H``,
-        and ``length`` advances.  With packed examples, ``sym_lens`` /
+        and ``length`` advances.  A cached forward runs on the array op set,
+        by default the cache's own ``bound``: it writes arrays into the cache
+        and is never differentiated.  With packed examples, ``sym_lens`` /
         ``tok_lens`` give each one's rows of ``x`` / ``H``, and attention
         stays inside an example.
         """
-        bound = self.bind() if bound is None else bound
+        if bound is None:
+            bound = self.bind() if cache is None else cache.bound
         ops = bound.ops
         if cache is None:
             start, cross = 0, self.cross_kv(H, bound)
@@ -462,8 +440,8 @@ class Model:
             h = ops.layer_norm(x, *ln1)
             kv = self._kv(ops, attn, h)
             if cache is not None:
-                cache.keys[i][..., start:end] = T.split_heads(ops.value(kv[0]), n_seq, heads, True)
-                cache.values[i][:, :, start:end] = T.split_heads(ops.value(kv[1]), n_seq, heads)
+                cache.keys[i][..., start:end] = T.split_heads(kv[0], n_seq, heads, True)
+                cache.values[i][:, :, start:end] = T.split_heads(kv[1], n_seq, heads)
                 kv = (cache.keys[i][..., :end], cache.values[i][:, :, :end])
             x = ops.add(x, self._mha(ops, attn, h, kv, train, rng, sinks[0], *causal))
             h = ops.layer_norm(x, *ln2)
@@ -552,7 +530,9 @@ class Model:
         if cast is not None:
             raise ValueError(f"{path}: parameter {cast} is {arrays[cast].dtype}, "
                              f"its config says {config.dtype}")
-        params = {n: Tensor(arrays.pop(n), requires_grad=True) for n in sorted(expected)}
+        # in ``param_shapes`` order, as a fresh model holds them: ``grad_norm``
+        # sums in that order, so a resumed run stays bit-identical
+        params = {n: Tensor(arrays.pop(n), requires_grad=True) for n in expected}
         model = cls(config, schema, vocab, params=params)
         return model, arrays, (meta.get("extra") or {})
 
@@ -568,7 +548,7 @@ class DecodeRuntime:
     ``token_ids`` is (B, L).  Set-up encodes the B*L token rows in one pass
     into ``E`` (B, V, D), each sentence's own vocabulary.  The runtime is
     also the key/value cache that ``decode_hidden`` reads and extends, every
-    array in ``tensor.attention``'s head layout (``split_heads``): ``cross``
+    array in ``tensor.attention_np``'s head layout (``split_heads``): ``cross``
     holds each layer's cross-attention keys (B, heads, dk, L) and values
     (B, heads, L, dk), computed once; ``keys`` (B, heads, dk, rows) and
     ``values`` (B, heads, rows, dk) hold self-attention rows, the first

@@ -15,8 +15,10 @@ randomness (dropout) flows through explicit generators.
 
 Ops are module functions over 2-D tensors (``Tensor`` has no operators).
 ``linear`` is a whole affine map ``x @ w + b``, one tape node; ``attention``
-splits its operands into heads inside, and also takes keys and values
-already in its head layout (``split_heads``), as a decoding cache stores them.
+splits its (M, D) and (N, D) operands into heads inside.  Only
+``attention_np`` also reads keys and values already in that head layout
+(``split_heads``), as a decoding cache stores them: decoding runs the array
+op set and never differentiates.
 
 ``rowwise_kernels`` switches matrix multiplication (per head in ``attention``)
 to one BLAS call per output row, and causal ``attention`` to reading each
@@ -482,11 +484,16 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                  rng: np.random.Generator | None = None, train: bool = False,
                  sink: list | None = None, groups: int = 1,
                  start: int | None = None) -> np.ndarray:
-    """``attention`` over arrays, with no shape checks beyond the key prefixes'."""
+    """``attention`` over arrays, with no shape checks beyond the key prefixes'.
+
+    ``k`` and ``v`` may also come in the head layout of ``split_heads``, k as
+    (G, heads, dk, n) and v as (G, heads, n, dk), with any strides, as a
+    decoding cache holds them; they are read in place.
+    """
     return _attend(q, k, v, heads, mask, dropout_p, rng, train, sink, groups, start)[0]
 
 
-def attention(q: Tensor, k, v, heads: int, mask: np.ndarray | None = None,
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
               dropout_p: float = 0.0, rng: np.random.Generator | None = None,
               train: bool = False, sink: list | None = None, groups: int = 1,
               start: int | None = None) -> Tensor:
@@ -514,24 +521,10 @@ def attention(q: Tensor, k, v, heads: int, mask: np.ndarray | None = None,
     Train-mode dropout on the weights draws one ``rng.random((G, heads, m,
     n))``; ``sink`` gets the weights before it, (heads, M, N) for one group,
     else (G, heads, m, n).
-
-    ``k`` and ``v`` may instead come already in the head layout of
-    ``split_heads``, k as (G, heads, dk, n) and v as (G, heads, n, dk), with
-    any strides; they are read in place and their gradients accumulate in
-    that layout.  Either may be a bare array (a decoding cache's rows), read
-    as a constant.
     """
-    k, v = (t if isinstance(t, Tensor) else Tensor(t) for t in (k, v))
-    (rows_q, d), split_kv = q.shape, k.data.ndim == 4
-    dk = d // max(heads, 1)
-    if split_kv:
-        n = k.shape[-1]
-        kv_shapes = (groups, heads, dk, n), (groups, heads, n, dk)
-    else:
-        n = k.shape[0] // max(groups, 1)
-        kv_shapes = (groups * n, d), (groups * n, d)
+    (rows_q, d), n = q.shape, k.shape[0] // max(groups, 1)
     if (heads < 1 or d % heads or groups < 1 or rows_q % groups
-            or (k.shape, v.shape) != kv_shapes):
+            or k.shape != (groups * n, d) or v.shape != k.shape):
         raise ShapeMismatch(f"attention shapes {q.shape}, {k.shape}, {v.shape} with "
                             f"{heads} heads, {groups} groups")
     out_data, (qh, kt, vh, w, wd, drop, scale) = _attend(
@@ -544,10 +537,8 @@ def attention(q: Tensor, k, v, heads: int, mask: np.ndarray | None = None,
             gw = gw * drop
         gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
         _accum(q, _merge_heads(matmul_np(gs, kt.transpose(0, 1, 3, 2))))
-        gk = matmul_np(gs.transpose(0, 1, 3, 2), qh)  # (G, heads, n, dk)
-        gv = matmul_np(wd.transpose(0, 1, 3, 2), gh)
-        _accum(k, gk.transpose(0, 1, 3, 2) if split_kv else _merge_heads(gk))
-        _accum(v, gv if split_kv else _merge_heads(gv))
+        _accum(k, _merge_heads(matmul_np(gs.transpose(0, 1, 3, 2), qh)))
+        _accum(v, _merge_heads(matmul_np(wd.transpose(0, 1, 3, 2), gh)))
 
     return _make(out_data, (q, k, v), backward)
 
@@ -648,11 +639,6 @@ def param(t: Tensor) -> Tensor:
     return t
 
 
-def value(t: Tensor) -> np.ndarray:
-    """A tape operand's array."""
-    return t.data
-
-
 class ArrayOps:
     """The array op set: the tape ops' forwards alone, over bare arrays.
 
@@ -663,7 +649,6 @@ class ArrayOps:
     """
 
     param = staticmethod(operator.attrgetter("data"))
-    value = staticmethod(lambda a: a)
     add = staticmethod(np.add)
     mul = staticmethod(np.multiply)
     matmul = staticmethod(matmul_np)

@@ -488,10 +488,12 @@ class TestTeacherForcedOracle:
                 H = model.encode(tokens)
                 E = model.build_E(model.span_embeddings(H))
                 whole = model.decode_hidden(model.decoder_inputs(E, ids, labels), H).data
-                chunks = [model.decode_hidden(model.decoder_inputs(E, ids[a:b], labels[a:b],
-                                                                   start=a), None, cache=cache)
+                # cached chunks run on the array op set, the cache's own
+                chunks = [model.decode_hidden(model.decoder_inputs(E.data, ids[a:b], labels[a:b],
+                                                                   start=a, bound=cache.bound),
+                                              None, cache=cache)
                           for a, b in ((0, half), (half, len(ids)))]
-            assert np.concatenate([c.data for c in chunks]).tobytes() == whole.tobytes(), doc.id
+            assert np.concatenate(chunks).tobytes() == whole.tobytes(), doc.id
             checked += 1
         assert checked >= 20
 

@@ -22,6 +22,7 @@ from spangraph.model import (
     WordVocab,
     decay_excluded,
     param_group,
+    param_shapes,
 )
 from spangraph.vocab import build_layout, symbol_to_id
 from _helpers import make_schema, tiny_model
@@ -119,6 +120,47 @@ class TestParamTaxonomy:
         assert set(a.params) == set(b.params)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
+
+    def test_layout_is_pinned(self, two_type_schema):
+        # initialization order fixes the rng draws, grad_norm's summation
+        # order and the order of a checkpoint's members
+        m = tiny_model(two_type_schema)
+        shapes = param_shapes(m.config, m.schema, len(m.word_vocab))
+        assert list(shapes) == [
+            "enc.word_emb", "enc.pos", "enc.0.ln1.g", "enc.0.ln1.b", "enc.0.attn.wq",
+            "enc.0.attn.wk", "enc.0.attn.wv", "enc.0.attn.wo", "enc.0.attn.bq", "enc.0.attn.bk",
+            "enc.0.attn.bv", "enc.0.attn.bo", "enc.0.ln2.g", "enc.0.ln2.b", "enc.0.ffn.w1",
+            "enc.0.ffn.b1", "enc.0.ffn.w2", "enc.0.ffn.b2", "dec.pos", "dec.struct",
+            "dec.special", "dec.rel", "dec.0.ln1.g", "dec.0.ln1.b", "dec.0.self.wq",
+            "dec.0.self.wk", "dec.0.self.wv", "dec.0.self.wo", "dec.0.self.bq", "dec.0.self.bk",
+            "dec.0.self.bv", "dec.0.self.bo", "dec.0.ln2.g", "dec.0.ln2.b", "dec.0.cross.wq",
+            "dec.0.cross.wk", "dec.0.cross.wv", "dec.0.cross.wo", "dec.0.cross.bq",
+            "dec.0.cross.bk", "dec.0.cross.bv", "dec.0.cross.bo", "dec.0.ln3.g", "dec.0.ln3.b",
+            "dec.0.ffn.w1", "dec.0.ffn.b1", "dec.0.ffn.w2", "dec.0.ffn.b2", "span.w0", "span.w1"]
+        sq, vec = (16, 16), (16,)
+        ln, attn, ffn = [vec] * 2, [sq] * 4 + [vec] * 4, [(16, 64), (64,), (64, 16), vec]
+        assert list(shapes.values()) == [
+            (4, 16), (128, 16), *ln, *attn, *ln, *ffn, (128, 16), (4, 16), (3, 16), (2, 16),
+            *ln, *attn, *ln, *attn, *ln, *ffn, (32, 16), (32, 16)]
+        assert list(m.params) == list(shapes)
+
+    @pytest.mark.parametrize("ops", [T, T.ArrayOps], ids=["tape", "array"])
+    def test_bind_binds_every_parameter_once(self, two_type_schema, ops):
+        m = tiny_model(two_type_schema, enc_layers=2, dec_layers=3)
+
+        def leaves(tree):
+            return [x for c in tree for x in leaves(c)] if isinstance(tree, tuple) else [tree]
+
+        bound = m.bind(ops)
+        got = leaves(tuple(bound[1:]))
+        want = [ops.param(p) for p in m.params.values()]
+        assert len(got) == len(want) and {id(x) for x in got} == {id(x) for x in want}
+        # each block in its parts' order: the attention block as _kv and _mha read it
+        for i, layer in enumerate(bound.dec):
+            for at, block in ((1, "self"), (3, "cross")):
+                assert [id(x) for x in layer[at]] == [
+                    id(ops.param(m.params[f"dec.{i}.{block}.{part}"]))
+                    for part in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")]
 
     def test_struct_table_rows(self, two_type_schema):
         m = tiny_model(two_type_schema)
@@ -330,11 +372,13 @@ class TestDecodeHidden:
             H = m.encode(token_ids)
             E = m.build_E(m.span_embeddings(H))
             whole = m.decode_hidden(m.decoder_inputs(E, ids, labels), H)
-            a = m.decode_hidden(m.decoder_inputs(E, ids[:2], labels[:2]), None, cache=cache)
-            b = m.decode_hidden(m.decoder_inputs(E, ids[2:], labels[2:], start=2), None,
-                                cache=cache)
+            # a cached forward runs on the array op set, the cache's own
+            a = m.decode_hidden(m.decoder_inputs(E.data, ids[:2], labels[:2], bound=cache.bound),
+                                None, cache=cache)
+            b = m.decode_hidden(m.decoder_inputs(E.data, ids[2:], labels[2:], start=2,
+                                                 bound=cache.bound), None, cache=cache)
         assert cache.length == 5
-        np.testing.assert_array_equal(np.concatenate([a.data, b.data]), whole.data)
+        np.testing.assert_array_equal(np.concatenate([a, b]), whole.data)
 
 
 class TestIncrementalDecoding:
@@ -482,7 +526,8 @@ class TestOpSets:
                 x = m.decoder_inputs(E, ids, labels, True, rng, sym_lens=sym_lens, bound=bound)
                 z = m.decode_hidden(x, H, True, rng, trace, sym_lens=sym_lens,
                                     tok_lens=tok_lens, bound=bound)
-            outs.append([ops.value(a) for a in (H, E, z)] + trace.self_attn + trace.cross_attn)
+            outs.append([a.data if ops is T else a for a in (H, E, z)]
+                        + trace.self_attn + trace.cross_attn)
         for got, want in zip(outs[1], outs[0], strict=True):
             assert type(got) is np.ndarray
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

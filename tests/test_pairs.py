@@ -85,3 +85,40 @@ def test_unpaired_runs_are_left_out():
                  "metrics": {"op_ms": 1.0, "tokens_per_s": 1.0}})
     assert pairs.summarize(runs, END_TO_END)["op_ms"]["pairs"] == 2
     assert pairs.summarize([], END_TO_END) == {}
+
+
+def _verdicts(parent, change):
+    got = pairs.summarize(_runs(parent, change), END_TO_END)
+    return got["op_ms"]["verdict"], got["tokens_per_s"]["verdict"]
+
+
+def test_no_regression_verdicts():
+    steady = [(10.0, 100.0), (10.5, 101.0), (11.0, 102.0), (11.5, 103.0), (12.0, 104.0)]
+    # 30% more time and 30% fewer tokens than the parent's medians, past the 0.25 bound
+    assert _verdicts(steady, [(14.3, 71.4)] * 5) == ("regressed", "regressed")
+    # 10% worse, inside the bound and a 9% IQR
+    assert _verdicts(steady, [(12.1, 91.8)] * 5) == ("within_bound", "within_bound")
+    # a parent IQR of 60% of its median could hide a regression past the bound
+    wide = [(6.0, 60.0), (8.0, 80.0), (10.0, 100.0), (14.0, 140.0), (16.0, 160.0)]
+    assert _verdicts(wide, [(11.0, 90.0)] * 5) == ("unresolved", "unresolved")
+    # ... unless every change run beats every parent run
+    assert _verdicts(wide, [(5.0, 170.0)] * 5) == ("within_bound", "within_bound")
+    # one change run that loses to a parent run leaves it unresolved
+    assert _verdicts(wide, [(5.0, 170.0)] * 4 + [(6.5, 59.0)]) == ("unresolved", "unresolved")
+
+
+def test_no_bound_no_verdict():
+    assert pairs.no_regression([1.0, 2.0], [9.0, 9.0], -1.0, None) is None
+    assert pairs.no_regression([10.0, 10.0], [12.6, 12.6], -1.0, 0.25) == "regressed"
+    assert pairs.no_regression([10.0, 10.0], [12.4, 12.4], -1.0, 0.25) == "within_bound"
+
+
+def test_import_medians_per_side():
+    runs = _runs([(10.0, 100.0)] * 3, [(9.0, 100.0)] * 3)
+    values = {"parent": {1: 0.30, 2: 0.50, 3: 0.25}, "change": {1: 0.40, 2: 0.20, 3: None}}
+    for run in runs:
+        run["import_s"] = values[run["side"]][run["seed"]]
+    # a run without a result file has no import_s and is left out
+    assert pairs.import_medians(runs) == {"parent": 0.30, "change": statistics.median([0.4, 0.2])}
+    assert pairs.import_medians(_runs([(10.0, 100.0)], [(9.0, 100.0)])) == {
+        "parent": None, "change": None}

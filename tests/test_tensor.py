@@ -484,10 +484,9 @@ class TestAttention:
             full = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, groups=groups,
                                start=0).data.reshape(groups, n, d)
             for r in range(n):
-                alone = T.attention(T.Tensor(q.reshape(groups, n, d)[:, r]),
-                                    T.Tensor(kbuf[..., :r + 1]), T.Tensor(vbuf[:, :, :r + 1]),
-                                    heads, None, groups=groups)
-                assert alone.data.tobytes() == np.ascontiguousarray(full[:, r]).tobytes()
+                alone = T.attention_np(q.reshape(groups, n, d)[:, r], kbuf[..., :r + 1],
+                                       vbuf[:, :, :r + 1], heads, groups=groups)
+                assert alone.tobytes() == np.ascontiguousarray(full[:, r]).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (DRAFT + 1, DRAFT + 1), (5, 40),
@@ -502,13 +501,13 @@ class TestAttention:
         causal = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
         sink = []
         with T.rowwise_kernels():
-            full = T.attention(T.Tensor(q), T.Tensor(kbuf[..., :n]), T.Tensor(vbuf[:, :, :n]),
-                               heads, sink=sink, groups=G, start=n - m).data.reshape(G, m, d)
+            full = T.attention_np(q, kbuf[..., :n], vbuf[:, :, :n], heads, sink=sink, groups=G,
+                                  start=n - m).reshape(G, m, d)
             for i in range(m):
                 p = n - m + i + 1
-                alone = T.attention(T.Tensor(q.reshape(G, m, d)[:, i]), T.Tensor(kbuf[..., :p]),
-                                    T.Tensor(vbuf[:, :, :p]), heads, None, groups=G)
-                assert alone.data.tobytes() == np.ascontiguousarray(full[:, i]).tobytes()
+                alone = T.attention_np(q.reshape(G, m, d)[:, i], kbuf[..., :p], vbuf[:, :, :p],
+                                       heads, groups=G)
+                assert alone.tobytes() == np.ascontiguousarray(full[:, i]).tobytes()
         # no -inf reaches a weight or an output, even a one-key row's
         w = sink[0]
         assert np.isfinite(w).all() and np.isfinite(full).all()
@@ -598,46 +597,12 @@ class TestAttention:
                 assert (tk.grad[rk] == sk.grad).all()
                 assert (tv.grad[rk] == sv.grad).all()
 
-    def test_grad_split_operands(self, rng):
-        # keys and values already in head layout: two groups, 2 heads of width 3
-        mask = np.arange(5)[None, :] <= np.arange(3, 5)[:, None]
-        check_op(lambda q, k, v: T.attention(q, k, v, 2, mask, groups=2),
-                 [rng.standard_normal((4, 6)), rng.standard_normal((2, 2, 3, 5)),
-                  rng.standard_normal((2, 2, 5, 3))], rng)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_split_operands_equal_row_operands_bitwise(self, rng, dtype):
-        G, heads, m, n = 3, 4, 2, 5
-        q, k, v = (rng.standard_normal((G * r, 16)).astype(dtype) for r in (m, n, n))
-        g_out = rng.standard_normal((G * m, 16)).astype(dtype)
-        kt, vh = T.split_heads(k, G, heads, True), T.split_heads(v, G, heads)
-        # split operands as strided views of wider buffers, the way a cache holds them
-        kbuf = np.zeros(kt.shape[:3] + (n + 3,), dtype)
-        vbuf = np.zeros(vh.shape[:2] + (n + 3,) + vh.shape[3:], dtype)
-        kbuf[..., :n], vbuf[:, :, :n] = kt, vh
-        with T.rowwise_kernels():
-            rows = [T.Tensor(a, requires_grad=True) for a in (q, k, v)]
-            split = [T.Tensor(a, requires_grad=True)
-                     for a in (q, kbuf[..., :n], vbuf[:, :, :n])]
-            outs = []
-            for tq, tk, tv in (rows, split):
-                outs.append(T.attention(tq, tk, tv, heads, groups=G, start=n - m))
-                T.backward(T.sum_all(T.mul(outs[-1], T.Tensor(g_out))))
-        assert (outs[0].data == outs[1].data).all()
-        # q's gradient reads the keys transposed, a kernel whose bits may follow
-        # the keys' stride; decoding never differentiates
-        np.testing.assert_allclose(split[0].grad, rows[0].grad, rtol=1e-5)
-        assert (T.split_heads(rows[1].grad, G, heads, True) == split[1].grad).all()
-        assert (T.split_heads(rows[2].grad, G, heads) == split[2].grad).all()
-
-    def test_split_operands_checked(self, rng):
+    def test_head_layout_operands_rejected(self, rng):
+        # only the array op reads keys and values in a cache's head layout
         q = T.Tensor(rng.standard_normal((4, 6)))
         k, v = T.Tensor(np.zeros((2, 2, 3, 5))), T.Tensor(np.zeros((2, 2, 5, 3)))
-        T.attention(q, k, v, 2, None, groups=2)
         with pytest.raises(T.ShapeMismatch):
-            T.attention(q, k, v, 3, None, groups=2)
-        with pytest.raises(T.ShapeMismatch):
-            T.attention(q, k, k, 2, None, groups=2)
+            T.attention(q, k, v, 2, None, groups=2)
 
     def test_groups_must_divide_rows(self, rng):
         q, k = T.Tensor(rng.standard_normal((3, 4))), T.Tensor(rng.standard_normal((4, 4)))
@@ -679,8 +644,9 @@ class TestArrayOps:
 
     def test_params_and_values(self, rng):
         t = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        assert T.param(t) is t and T.value(t) is t.data
-        assert T.ArrayOps.param(t) is t.data and T.ArrayOps.value(t.data) is t.data
+        assert T.param(t) is t and T.ArrayOps.param(t) is t.data
+        # the layer code reads a tape operand's array nowhere: a cache takes arrays
+        assert not hasattr(T, "value") and not hasattr(T.ArrayOps, "value")
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("split", [False, True])
@@ -692,11 +658,15 @@ class TestArrayOps:
         m = 1 if rows == "rowwise one row" else 3
         q = rng.standard_normal((groups * m, d)).astype(dtype)
         k, v = (rng.standard_normal((groups * n, d)).astype(dtype) for _ in range(2))
-        if split:  # in head layout, strided views of wider buffers as a cache holds them
-            k = _cache_view(T.split_heads(k, groups, heads, True), 5)
+        # split: the array op reads the keys and values in head layout, strided
+        # views of wider buffers as a cache holds them, and the tape op the
+        # same rows; decoding relies on the two agreeing
+        kc, vc = k, v
+        if split:
+            kc = _cache_view(T.split_heads(k, groups, heads, True), 5)
             vbuf = np.zeros((groups, heads, n + 5, d // heads), dtype)
             vbuf[:, :, :n] = T.split_heads(v, groups, heads)
-            v = vbuf[:, :, :n]
+            vc = vbuf[:, :, :n]
         mask = rng.random((m, n)) > 0.3 if rows == "mask" else None
         if mask is not None:
             mask[:, 0] = True
@@ -706,7 +676,7 @@ class TestArrayOps:
         with T.rowwise_kernels() if "rowwise" in rows else contextlib.nullcontext():
             tape = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, mask, 0.4,
                                np.random.default_rng(5), train, tape_sink, groups, start)
-            got = T.ArrayOps.attention(q, k, v, heads, mask, 0.4, np.random.default_rng(5),
+            got = T.ArrayOps.attention(q, kc, vc, heads, mask, 0.4, np.random.default_rng(5),
                                        train, array_sink, groups, start)
         assert self._same(got, tape)
         assert array_sink[0].tobytes() == tape_sink[0].tobytes()

@@ -486,6 +486,31 @@ class TestTrainingDynamics:
         from_best = train_loop(loaded, cfg5, examples, optimizer=opt2, start_step=4).losses
         assert from_best == in_memory
 
+    def test_resume_from_last_is_bit_identical_under_clipping(self, toy_corpus, tmp_path):
+        # clipping scales every gradient by clip_norm / grad_norm, and grad_norm
+        # sums in the order of model.params: a loaded model must hold its
+        # parameters in a fresh model's order for the norms to keep their bits
+        examples = list(toy_corpus.examples)[:5]
+        kw = dict(batch_size=4, max_sentences=2, seed=0, clip_norm=1e-3)
+        model = _corpus_model(toy_corpus)
+        opt = AdamW(model.params)
+        first = train_loop(model, TrainConfig(max_steps=3, **kw), examples,
+                           out_dir=str(tmp_path / "first"), optimizer=opt)
+        loaded, rest, meta = Model.load(first.last_path)
+        opt2 = AdamW(loaded.params)
+        opt2.load_state(rest, meta["opt_t"])
+        cfg = TrainConfig(max_steps=16, **kw)
+        runs = [train_loop(m, cfg, examples, out_dir=str(tmp_path / name), optimizer=o,
+                           start_step=4)
+                for name, m, o in (("memory", model, opt), ("disk", loaded, opt2))]
+        norms = []
+        for run in runs:
+            with open(run.metrics_path, encoding="utf-8") as fh:
+                norms.append([json.loads(line)["grad_norm"] for line in fh])
+        assert len(norms[0]) == 13 and norms[1] == norms[0]
+        assert runs[1].losses == runs[0].losses
+        assert list(loaded.params) == list(model.params)
+
     def test_non_finite_loss_stops_before_any_update_or_write(self, toy_corpus, tmp_path):
         examples = list(toy_corpus.examples)[:5]
         model = _corpus_model(toy_corpus)

@@ -12,8 +12,10 @@ JSON result line and writes ``BENCH_<label>.json`` with, for every
 end-to-end metric of the change's ``BENCHMARK.json``: the parent's median
 and quartiles, the change's median, the pairs the change wins, and whether
 the change is better in the median by more than the parent's interquartile
-range.  Every run's ``correct`` flag and metric values are kept, with the
-import part of ``setup_s`` (from the run's result file) beside them.
+range.  Each metric with a ``bound`` also gets a no-regression verdict
+(``no_regression``).  Every run's ``correct`` flag and metric values are
+kept, with the import part of ``setup_s`` (from the run's result file)
+beside them, and each side's median ``import_s``.
 """
 
 from __future__ import annotations
@@ -57,6 +59,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def no_regression(parent: list[float], change: list[float], sign: float,
+                  bound: float | None) -> str | None:
+    """The change against a relative ``bound`` on how much worse it may be.
+
+    ``regressed``: the change's median is worse than the parent's by more
+    than ``bound`` of the parent's median.  ``unresolved``: not regressed, but
+    the parent's IQR is wider than ``bound`` of its median, so a regression
+    of that size could hide in the spread, and not every change run beats
+    every parent run.  ``within_bound`` otherwise; None without a bound.
+    ``sign`` is +1 where higher is better, -1 where lower is.
+    """
+    if bound is None:
+        return None
+    q1, parent_median, q3 = quartiles(parent)
+    if -sign * (statistics.median(change) / parent_median - 1.0) > bound:
+        return "regressed"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if (q3 - q1) / abs(parent_median) > bound and not beats_all:
+        return "unresolved"
+    return "within_bound"
+
+
+def import_medians(runs: list[dict]) -> dict[str, float | None]:
+    """Each side's median ``import_s`` over the runs that report one."""
+    out = {}
+    for side in ("parent", "change"):
+        values = [r["import_s"] for r in runs
+                  if r["side"] == side and r.get("import_s") is not None]
+        out[side] = statistics.median(values) if values else None
+    return out
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     """Per metric: the parent's quartiles, the change's median, wins and the IQR test.
 
@@ -64,7 +98,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     "metrics": {name: value}}``; a pair is the two sides' runs of one seed.
     A pair is a win when the change is better; the gain clears the parent's
     IQR when the change's median is better than the parent's by more than
-    the parent's third minus first quartile.
+    the parent's third minus first quartile.  ``verdict`` is
+    ``no_regression`` against the metric's ``bound``.
     """
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -90,6 +125,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
             "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "clears_parent_iqr": gain > q3 - q1,
+            "verdict": no_regression(parent, change, sign, spec.get("bound")),
         }
     return out
 
@@ -159,6 +195,7 @@ def main(argv=None) -> int:
         "order": "parent first on odd seeds, change first on even seeds",
         "src_sha256": {side: src_digest(path) for side, path in checkouts.items()},
         "all_correct": all(r["correct"] for r in runs),
+        "import_s_median": import_medians(runs),
         "metrics": summary,
         "runs": runs,
     }
@@ -170,7 +207,8 @@ def main(argv=None) -> int:
         print(f"{name}: parent {s['parent_median']:.6g} [{s['parent_q1']:.6g}, "
               f"{s['parent_q3']:.6g}] -> change {s['change_median']:.6g} {s['unit']} "
               f"({s['relative_change']:+.1%}), wins {s['wins']}/{s['pairs']}, "
-              f"clears IQR: {s['clears_parent_iqr']}")
+              f"clears IQR: {s['clears_parent_iqr']}, verdict: {s['verdict']}")
+    print(f"import_s median: {report['import_s_median']}")
     print(f"wrote {path}")
     return 0 if report["all_correct"] else 1
 
