@@ -302,53 +302,41 @@ def generate(model: Model, doc: Document, config: DecodeConfig = DecodeConfig(),
     return res
 
 
-def _decode_batches(model: Model, docs: list[Document], config: DecodeConfig):
-    """Yield (index, result) for every document that fits the model, batch by batch.
+def generate_batch(model: Model, docs,
+                   config: DecodeConfig = DecodeConfig()) -> list[GenerationResult | TooLong]:
+    """``generate`` for many documents, in input order, decoded in lockstep batches.
 
     Documents are grouped by token count, and each group is split into
-    batches whose runtime holds at most ``BATCH_BYTES``.
+    batches whose runtime holds at most ``BATCH_BYTES``.  A document with
+    more tokens than ``max_positions`` never enters a batch; its slot holds
+    the ``TooLong`` error that names it.  Results carry no ``step_logits``.
     """
+    docs = list(docs)
+    out: list[GenerationResult | TooLong] = [_too_long(model, d) for d in docs]
     by_length: dict[int, list[int]] = {}
     for i, doc in enumerate(docs):
-        if _too_long(model, doc) is None:
+        if out[i] is None:
             by_length.setdefault(len(doc), []).append(i)
     for n_tokens, group in by_length.items():
         budget = _length_budget(model, config, n_tokens)
         size = max(1, BATCH_BYTES // DecodeRuntime.sentence_nbytes(model, n_tokens, budget))
         for at in range(0, len(group), size):
             batch = group[at:at + size]
-            yield from zip(batch, _decode_lockstep(model, [docs[i] for i in batch], config,
-                                                   fast=True, keep_logits=False))
-
-
-def generate_batch(model: Model, docs,
-                   config: DecodeConfig = DecodeConfig()) -> list[GenerationResult | TooLong]:
-    """``generate`` for many documents, in input order, decoded in lockstep batches.
-
-    A document with more tokens than ``max_positions`` never enters a batch;
-    its slot holds the ``TooLong`` error that names it.  Results carry no
-    ``step_logits``.
-    """
-    docs = list(docs)
-    out: list[GenerationResult | TooLong | None] = [_too_long(model, d) for d in docs]
-    for i, res in _decode_batches(model, docs, config):
-        out[i] = res
+            for i, res in zip(batch, _decode_lockstep(model, [docs[i] for i in batch], config,
+                                                      fast=True, keep_logits=False)):
+                out[i] = res
     return out
 
 
 def predict(model: Model, docs, config: DecodeConfig = DecodeConfig()) -> list[IEGraph]:
-    """Graphs of ``docs`` in input order, decoded in lockstep batches.
+    """The graphs of ``generate_batch``'s results, in input order.
 
     Lengths are checked before anything is decoded: a document with more
-    tokens than ``max_positions`` raises its ``TooLong``.  Only the graphs
-    are kept, not the whole results.
+    tokens than ``max_positions`` raises its ``TooLong``.
     """
     docs = list(docs)
     for doc in docs:
         error = _too_long(model, doc)
         if error is not None:
             raise error
-    graphs: list[IEGraph | None] = [None] * len(docs)
-    for i, res in _decode_batches(model, docs, config):
-        graphs[i] = res.graph
-    return graphs
+    return [res.graph for res in generate_batch(model, docs, config)]

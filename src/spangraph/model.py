@@ -411,12 +411,18 @@ class Model:
         of its own prefix, cross-attention reads the cache instead of ``H``,
         and ``length`` advances.  A cached forward runs on the array op set,
         by default the cache's own ``bound``: it writes arrays into the cache
-        and is never differentiated.  With packed examples, ``sym_lens`` /
+        and is never differentiated, and a ``bound`` on another op set raises
+        ``ValueError``.  Self-attention is causal by key prefixes (``start``,
+        the first row's position).  With packed examples, ``sym_lens`` /
         ``tok_lens`` give each one's rows of ``x`` / ``H``, and attention
-        stays inside an example.
+        stays inside an example: equal lengths run as groups, mixed ones as
+        one group under a block mask beside ``start``.
         """
         if bound is None:
             bound = self.bind() if cache is None else cache.bound
+        if cache is not None and bound.ops is not T.ArrayOps:
+            raise ValueError("a cached decode_hidden runs on tensor.ArrayOps; "
+                             "pass model.bind(tensor.ArrayOps) or no bound")
         ops = bound.ops
         if cache is None:
             start, cross = 0, self.cross_kv(H, bound)
@@ -430,10 +436,6 @@ class Model:
         # a write past the last row would land in an empty slice unnoticed
         if cache is not None and end > rows:
             raise ValueError(f"decoding to row {end} overflows a cache of {rows} rows")
-        # each row attends to its key prefix; packed examples of mixed lengths
-        # run as one group, each row masked to its prefix inside its example
-        causal = (n_seq, None, start) if block is None else (
-            n_seq, block & np.tri(len(block), dtype=bool), None)
         sinks = (None, None) if trace is None else (trace.self_attn, trace.cross_attn)
         heads = self.config.heads
         for i, (ln1, attn, ln2, cross_attn, ln3, ffn) in enumerate(bound.dec):
@@ -443,7 +445,8 @@ class Model:
                 cache.keys[i][..., start:end] = T.split_heads(kv[0], n_seq, heads, True)
                 cache.values[i][:, :, start:end] = T.split_heads(kv[1], n_seq, heads)
                 kv = (cache.keys[i][..., :end], cache.values[i][:, :, :end])
-            x = ops.add(x, self._mha(ops, attn, h, kv, train, rng, sinks[0], *causal))
+            x = ops.add(x, self._mha(ops, attn, h, kv, train, rng, sinks[0], n_seq, block,
+                                     start))
             h = ops.layer_norm(x, *ln2)
             x = ops.add(x, self._mha(ops, cross_attn, h, cross[i], train, rng, sinks[1],
                                      *cross_groups))

@@ -13,6 +13,10 @@ Op outputs are row-major, except that ``transpose`` returns a view; op
 inputs may be strided views, which the kernels read in place.  All
 randomness (dropout) flows through explicit generators.
 
+One softmax kernel, ``_softmax_in_place``, serves attention weights and
+masked pointer probabilities alike: a hidden entry is -inf in every dtype
+and gets probability exactly 0.
+
 Ops are module functions over 2-D tensors (``Tensor`` has no operators).
 ``linear`` is a whole affine map ``x @ w + b``, one tape node; ``attention``
 splits its (M, D) and (N, D) operands into heads inside.  Only
@@ -105,22 +109,28 @@ def matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def neg_fill(dtype) -> float:
-    # -inf survives exp() as an exact zero at 64-bit; at 32-bit a large finite
-    # constant underflows to zero the same way without tripping inf arithmetic
-    return -np.inf if np.dtype(dtype) == np.float64 else -1e9
+def _softmax_in_place(w: np.ndarray, mask: np.ndarray | None = None, ends=None) -> np.ndarray:
+    """Softmax of ``w`` over its last axis, written over ``w``, which it returns.
+
+    Entries where ``mask`` (broadcast against ``w``) is False are hidden:
+    -inf in every dtype, so they get probability exactly 0; a row with every
+    entry hidden raises ``ShapeMismatch``.  With ``ends``, row i's exp sum
+    reads only its first ``ends[i]`` entries, the rest being -inf already.
+    """
+    if mask is not None:
+        if not mask.any(axis=-1).all():
+            raise ShapeMismatch("softmax row with every entry masked")
+        np.copyto(w, -np.inf, where=np.logical_not(mask))
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True) if ends is None else np.concatenate(
+        [w[..., i:i + 1, :p].sum(axis=-1, keepdims=True) for i, p in enumerate(ends)], -2)
+    return w
 
 
 def masked_softmax_np(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    if mask is not None:
-        if mask.shape != x.shape:
-            mask = np.broadcast_to(mask, x.shape)
-        if not mask.any(axis=-1).all():
-            raise ShapeMismatch("softmax row with every entry masked")
-        x = np.where(mask, x, np.asarray(neg_fill(x.dtype), dtype=x.dtype))
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """``_softmax_in_place`` over a copy of ``x``."""
+    return _softmax_in_place(np.array(x), mask)
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
@@ -456,7 +466,7 @@ def _attend(q, k, v, heads, mask, dropout_p, rng, train, sink, groups, start):
         causal = np.arange(n) <= np.arange(start, n)[:, None]
         mask, ends = (causal if mask is None else causal & mask), None
     if ends is None:
-        w = masked_softmax_np(matmul_np(qh, kt) * scale, mask)
+        w = matmul_np(qh, kt)
     else:  # a spare key column: even the longest prefix is a strided view, as in a cache
         kt = kt if split_kv else np.concatenate([kt, kt[..., :1]], axis=-1)[..., :n]
         # a row's scores and its exp sum read its own key prefix alone; the
@@ -465,11 +475,8 @@ def _attend(q, k, v, heads, mask, dropout_p, rng, train, sink, groups, start):
         w = np.full(qh.shape[:3] + (n,), -np.inf, q.dtype)
         for i, p in enumerate(ends):
             w[..., i:i + 1, :p] = matmul_np(qh[..., i:i + 1, :], kt[..., :p])
-        w *= scale
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= np.concatenate([w[..., i:i + 1, :p].sum(axis=-1, keepdims=True)
-                             for i, p in enumerate(ends)], 2)
+    w *= scale
+    _softmax_in_place(w, mask, ends)
     if sink is not None:
         sink.append(w[0] if groups == 1 else w)
     drop = _dropout_scale(w.shape, dropout_p, rng, w.dtype) if train and dropout_p > 0 else None
@@ -503,20 +510,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     n = N / G keys each, and segment g of the queries attends only to segment
     g of the keys and values, so no score is computed across groups.  Head h
     uses column block h (width D / heads) of q, k and v and writes the same
-    block of the output.  Which keys a query may attend to is given by one
-    of:
+    block of the output.  A query attends to every key of its group that
+    both of these rules leave visible:
 
     - ``start``: causal attention by key prefixes.  Query row i of each group
       sits at position ``start + i`` and attends to the first
       ``start + i + 1`` keys, so n must be ``start + m``.  Under
       ``rowwise_kernels`` each query reads its own prefix alone: a row's
       score product, exp sum and weights @ values see exactly its prefix,
-      while the scale, max-shift, exp and divide run once over the
-      (G, heads, m, n) block with -inf past each prefix, which leaves the
-      same bits and zero weights there;
+      while the rest of the softmax runs once over the (G, heads, m, n)
+      block with -inf past each prefix, which leaves the same bits;
     - ``mask``: (m, n), shared by every group, True where a query may
-      attend (not under ``rowwise_kernels``, whose rows read key prefixes);
-    - neither: every query attends to every key of its group.
+      attend (not under ``rowwise_kernels``, whose rows read key prefixes).
+
+    Hidden keys score -inf in every dtype and get weight exactly 0.
 
     Train-mode dropout on the weights draws one ``rng.random((G, heads, m,
     n))``; ``sink`` gets the weights before it, (heads, M, N) for one group,

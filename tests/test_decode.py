@@ -350,7 +350,7 @@ class TestBatchBytes:
 
         monkeypatch.setattr(decode, "_decode_lockstep", spy)
         docs = [make_doc(100, f"d{i}") for i in range(8)]
-        assert len(list(decode._decode_batches(m, docs, DecodeConfig()))) == 8
+        assert len(decode.generate_batch(m, docs, DecodeConfig())) == 8
         assert min(sizes) >= 2 and sum(sizes) == 8
 
 

@@ -380,6 +380,18 @@ class TestDecodeHidden:
         assert cache.length == 5
         np.testing.assert_array_equal(np.concatenate([a, b]), whole.data)
 
+    def test_cached_forward_rejects_the_tape_op_set(self, two_type_schema):
+        m = tiny_model(two_type_schema, dec_layers=2)
+        cache = DecodeRuntime(m, np.array([[1, 2, 3]]), 3)
+        x = m.decoder_inputs(cache.E[0], np.array([20, 5]), np.array([0, 0]), bound=cache.bound)
+        with pytest.raises(ValueError, match=r"tensor\.ArrayOps"):
+            m.decode_hidden(x, None, cache=cache, bound=m.bind())
+        assert cache.length == 0
+        # a fresh array binding is the cache's own op set
+        with T.rowwise_kernels():
+            z = m.decode_hidden(x, None, cache=cache, bound=m.bind(T.ArrayOps))
+        assert z.shape == x.shape and cache.length == 2
+
 
 class TestIncrementalDecoding:
     def test_prefix_logits_match_teacher_forced_last_row(self, two_type_schema):

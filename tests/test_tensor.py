@@ -34,10 +34,6 @@ class TestNumpyKernels:
         with pytest.raises(T.ShapeMismatch):
             T.masked_softmax_np(np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
 
-    def test_neg_fill_values(self):
-        assert T.neg_fill(np.float64) == -math.inf
-        assert T.neg_fill(np.float32) == -1e9
-
     def test_rowwise_matmul_matches_blas(self, rng):
         a = rng.standard_normal((7, 5))
         b = rng.standard_normal((5, 3))
@@ -414,6 +410,76 @@ def _attention_reference(q, k, v, heads, mask):
         scores = q[:, cols] @ k[:, cols].T / math.sqrt(dk)
         parts.append(T.masked_softmax_np(scores, mask) @ v[:, cols])
     return np.concatenate(parts, axis=1)
+
+
+def _softmax_oracle(s, mask, scale=1.0):
+    """The softmax as first written: hidden scores filled with -1e9 in
+    float32 and -inf in float64, then shift, exp and divide, each a new array."""
+    fill = np.asarray(-1e9 if s.dtype == np.float32 else -np.inf, dtype=s.dtype)
+    x = s * np.asarray(scale, dtype=s.dtype)
+    if mask is not None:
+        x = np.where(mask, x, fill)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmaxOracle:
+    """Weights and outputs bit-equal to the first softmax, with -inf in every dtype."""
+
+    @staticmethod
+    def _reference(q, k, v, heads, groups, mask):
+        qh, kt, vh = (T.split_heads(q, groups, heads), T.split_heads(k, groups, heads, True),
+                      T.split_heads(v, groups, heads))
+        w = _softmax_oracle(qh @ kt, mask, 1.0 / math.sqrt(q.shape[1] // heads))
+        ctx = w @ vh
+        return w, ctx.transpose(0, 2, 1, 3).reshape(q.shape[0], q.shape[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["mask", "groups", "start", "start-offset",
+                                      "start-and-block"])
+    def test_attention_weights_and_outputs(self, rng, dtype, case):
+        heads, d = 2, 6
+        m, n, groups, mask, start = 5, 5, 1, None, None
+        if case == "mask":
+            n = 7
+            mask = rng.random((m, n)) < 0.6
+            mask[:, 0] = True
+        elif case == "groups":
+            groups, m, n = 3, 2, 4
+        elif case == "start":
+            start = 0
+            ref_mask = np.tril(np.ones((m, n), dtype=bool))
+        elif case == "start-offset":
+            m, n, start = 3, 6, 3
+            ref_mask = np.tril(np.ones((m, n), dtype=bool), k=start)
+        else:  # packed examples of 2 and 3 rows under one block mask
+            seg = np.repeat([0, 1], [2, 3])
+            mask, start = seg[:, None] == seg[None, :], 0
+            ref_mask = mask & np.tril(np.ones((m, n), dtype=bool))
+        q = rng.standard_normal((groups * m, d)).astype(dtype)
+        k, v = (rng.standard_normal((groups * n, d)).astype(dtype) for _ in range(2))
+        want_w, want = self._reference(q, k, v, heads, groups,
+                                       mask if start is None else ref_mask)
+        sink = []
+        got = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, mask, sink=sink,
+                          groups=groups, start=start).data
+        got_w = sink[0][None] if groups == 1 else sink[0]
+        assert got_w.dtype == got.dtype == dtype
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mask_shape", [(3, 4, 5), (4, 5), (1, 5), (5,)])
+    def test_masked_softmax(self, rng, dtype, mask_shape):
+        x = (3.0 * rng.standard_normal((3, 4, 5))).astype(dtype)
+        mask = rng.random(mask_shape) < 0.5
+        mask[..., 2] = True
+        got = T.masked_softmax_np(x, mask)
+        want = _softmax_oracle(x, np.broadcast_to(mask, x.shape))
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert (got[~np.broadcast_to(mask, x.shape)] == 0.0).all()
+        assert T.masked_softmax_np(x, None).tobytes() == _softmax_oracle(x, None).tobytes()
 
 
 class TestAttention:
