@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import zipfile
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
@@ -364,16 +365,16 @@ class Model:
         h_start = ops.embedding_lookup(H, starts)
         h_end = ops.embedding_lookup(H, np.minimum(ends, last))
         h_end = ops.mul(h_end, valid[:, None].astype(self.config.np_dtype))
-        cat = ops.concat_last_dim(h_start, h_end)
+        cat = ops.concat((h_start, h_end), -1)
         # column block c of row i is span i under type c, so the (N, C*D)
         # product reshapes to rows i*C + c
-        W = ops.concat_last_dim(*bound.span)
+        W = ops.concat(bound.span, -1)
         return ops.reshape(ops.matmul(cat, W), (-1, self.config.d_model))
 
     def build_E(self, S, bound: Bound | None = None):
         """Dynamic vocabulary matrix (V, D): spans, then specials, then relations."""
         bound = self.bind() if bound is None else bound
-        return bound.ops.concat_rows([S, bound.dec_special, bound.dec_rel])
+        return bound.ops.concat((S, bound.dec_special, bound.dec_rel), 0)
 
     def decoder_inputs(self, E, ids: np.ndarray, labels: np.ndarray,
                        train: bool = False, rng=None, start: int = 0,
@@ -505,9 +506,14 @@ class Model:
         """Rebuild a model from a checkpoint.
 
         Returns the model, any non-parameter arrays stored alongside it
-        (optimizer state), and the ``extra`` metadata dict.
+        (optimizer state), and the ``extra`` metadata dict.  A file that is
+        not a readable checkpoint raises ``ValueError`` naming ``path``; a
+        missing one raises its ``OSError``.
         """
-        arrays, meta = T.load_arrays(path)
+        try:
+            arrays, meta = T.load_arrays(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise ValueError(f"{path}: unreadable checkpoint: {e}") from e
         if not isinstance(meta, dict) or meta.get("format") != "spangraph-checkpoint-v1":
             raise ValueError(f"{path} is not a model checkpoint")
         try:

@@ -17,7 +17,11 @@ One softmax kernel, ``_softmax_in_place``, serves attention weights and
 masked pointer probabilities alike: a hidden entry is -inf in every dtype
 and gets probability exactly 0.
 
-Ops are module functions over 2-D tensors (``Tensor`` has no operators).
+Ops are module functions over 2-D tensors (``Tensor`` has no operators),
+and the op set is what ``Model`` and training call: ``add``, ``mul``,
+``matmul``, ``linear``, ``transpose``, ``reshape``, ``concat``,
+``layer_norm``, ``gelu``, ``dropout``, ``attention``, ``embedding_lookup``
+and ``cross_entropy``.
 ``linear`` is a whole affine map ``x @ w + b``, one tape node; ``attention``
 splits its (M, D) and (N, D) operands into heads inside.  Only
 ``attention_np`` also reads keys and values already in that head layout
@@ -52,17 +56,12 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class NonFiniteDetected(FloatingPointError):
-    pass
-
-
 class NotScalar(ValueError):
     pass
 
 
 _grad_enabled = True
 _rowwise = False
-_check_finite = False
 
 
 @contextlib.contextmanager
@@ -85,17 +84,6 @@ def rowwise_kernels():
         yield
     finally:
         _rowwise = prev
-
-
-@contextlib.contextmanager
-def debug_check_finite():
-    """Raise NonFiniteDetected as soon as any op produces a NaN or infinity."""
-    global _check_finite
-    prev, _check_finite = _check_finite, True
-    try:
-        yield
-    finally:
-        _check_finite = prev
 
 
 def matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,8 +139,8 @@ def gelu_np(x: np.ndarray) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -166,9 +154,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data)
 
@@ -176,15 +161,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def _lift(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _check_finite and not np.all(np.isfinite(data)):
-        raise NonFiniteDetected("op produced a non-finite value")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         out._parents = parents
@@ -211,9 +188,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _lift(a, b)
-    b = _lift(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
@@ -223,21 +198,9 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _lift(a, b)
-    b = _lift(b, a)
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _lift(a, b)
-    b = _lift(b, a)
+def mul(a: Tensor, b) -> Tensor:
+    """``a * b``, broadcasting; ``b`` may be an array in ``a``'s dtype (a constant)."""
+    b = b if isinstance(b, Tensor) else Tensor(b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -293,14 +256,14 @@ def transpose(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def concat_last_dim(*parts: Tensor) -> Tensor:
-    if not parts or any(p.shape[:-1] != parts[0].shape[:-1] for p in parts):
-        raise ShapeMismatch(f"concat_last_dim leading dims differ: {[p.shape for p in parts]}")
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    splits = np.cumsum([p.shape[-1] for p in parts])[:-1]
+def concat(parts, axis: int) -> Tensor:
+    """``parts`` joined along ``axis``, one tape node; backward splits the gradient there."""
+    parts = tuple(parts)
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def backward(g):
-        for p, gp in zip(parts, np.split(g, splits, axis=-1)):
+        for p, gp in zip(parts, np.split(g, splits, axis=axis)):
             _accum(p, gp)
 
     return _make(out_data, parts, backward)
@@ -312,33 +275,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def backward(g):
         _accum(x, g.reshape(x.shape))
-
-    return _make(out_data, (x,), backward)
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    if not parts or any(p.data.ndim != 2 for p in parts):
-        raise ShapeMismatch("concat_rows expects a non-empty list of 2-D tensors")
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
-
-    def backward(g):
-        at = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[at : at + n])
-            at += n
-
-    return _make(out_data, tuple(parts), backward)
-
-
-def softmax_last_dim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis; masked entries get probability exactly 0."""
-    out_data = masked_softmax_np(x.data, mask)
-
-    def backward(g):
-        y = out_data
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - inner))
 
     return _make(out_data, (x,), backward)
 
@@ -604,15 +540,6 @@ def cross_entropy(logits: Tensor, targets, mask: np.ndarray | None = None,
     return _make(out_data, (logits,), backward)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum(), dtype=x.dtype)
-
-    def backward(g):
-        _accum(x, np.full_like(x.data, g))
-
-    return _make(out_data, (x,), backward)
-
-
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor reachable from a scalar loss."""
     if loss.data.ndim != 0:
@@ -660,8 +587,7 @@ class ArrayOps:
     mul = staticmethod(np.multiply)
     matmul = staticmethod(matmul_np)
     reshape = staticmethod(np.reshape)
-    concat_last_dim = staticmethod(lambda *parts: np.concatenate(parts, axis=-1))
-    concat_rows = staticmethod(lambda parts: np.concatenate(parts, axis=0))
+    concat = staticmethod(np.concatenate)
     embedding_lookup = staticmethod(embedding_np)
     linear = staticmethod(linear_np)
     layer_norm = staticmethod(layer_norm_np)

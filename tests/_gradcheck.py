@@ -12,11 +12,13 @@ import numpy as np
 from spangraph import tensor as T
 
 
-def _scalarize(op, arrays, proj):
-    tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = op(*tensors)
-    loss = T.sum_all(T.mul(out, T.Tensor(proj)))
-    return tensors, loss
+def scalarize(out: T.Tensor, proj: np.ndarray) -> T.Tensor:
+    """The scalar sum(out * proj), built from kept ops; backward seeds ``out`` with ``proj``.
+
+    A (1, n) @ (n, 1) product's backward multiplies the seed 1.0 into
+    ``proj``'s entries, so the seeded gradient is ``proj`` bit for bit.
+    """
+    return T.reshape(T.matmul(T.reshape(out, (1, -1)), T.Tensor(proj.reshape(-1, 1))), ())
 
 
 def check_op(op, arrays, rng, n_coords: int = 10, rtol: float = 1e-5,
@@ -26,14 +28,14 @@ def check_op(op, arrays, rng, n_coords: int = 10, rtol: float = 1e-5,
     probe = op(*[T.Tensor(a.copy()) for a in arrays])
     proj = rng.standard_normal(probe.data.shape)
 
-    tensors, loss = _scalarize(op, arrays, proj)
-    T.backward(loss)
+    tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    T.backward(scalarize(op(*tensors), proj))
     analytic = [t.grad.copy() for t in tensors]
 
     def loss_at(perturbed):
         ts = [T.Tensor(a.copy()) for a in perturbed]
         out = op(*ts)
-        return float(T.sum_all(T.mul(out, T.Tensor(proj))).data)
+        return float(scalarize(out, proj).data)
 
     worst = 0.0
     for ti, base in enumerate(arrays):

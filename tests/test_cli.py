@@ -144,6 +144,14 @@ class TestGenerate:
         assert rc == 1
         assert "schema" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_names_the_file(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "truncated.npz"
+        data = open(workdir["ckpt"], "rb").read()
+        bad.write_bytes(data[:len(data) // 2])
+        rc = main(["generate", "--checkpoint", str(bad), "--data", workdir["test"]])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: unreadable checkpoint")
 
     def test_negative_seed_names_the_flag(self, workdir, capsys):
         rc = main(["generate", "--checkpoint", workdir["ckpt"], "--data", workdir["test"],

@@ -643,6 +643,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(path)}: {match}$"):
             Model.load(path)
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not-a-zip", "meta-not-json"])
+    def test_unreadable_file_rejected(self, tmp_path, two_type_schema, damage):
+        path = str(tmp_path / "ck.npz")
+        if damage == "meta-not-json":
+            np.savez(path, a=np.zeros(2), __meta__=np.asarray("{not json"))
+        else:
+            tiny_model(two_type_schema, dec_layers=1).save(path)
+            data = open(path, "rb").read()
+            with open(path, "wb") as fh:
+                fh.write({"truncated": data[:len(data) // 2], "empty": b"",
+                          "not-a-zip": b"not a checkpoint\n" * 4}[damage])
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: unreadable checkpoint"):
+            Model.load(path)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            Model.load(str(tmp_path / "absent.npz"))
+
     def test_config_without_its_layer_rejected(self, tmp_path, two_type_schema):
         def edit(arrays, meta):
             meta["config"]["dec_layers"] = 2
